@@ -1,13 +1,17 @@
 //! Clause storage.
 //!
-//! Clauses live in a single arena ([`ClauseDb`]) and are referred to by
-//! [`ClauseRef`] handles. The arena supports in-place strengthening, lazy
-//! deletion, and compaction during learnt-database reduction.
+//! Clauses live in one flat arena ([`ClauseDb`]) and are referred to by
+//! [`ClauseRef`] handles, which are word offsets into it. Each clause is
+//! an inline header followed by its literals, so reading a clause touches
+//! one contiguous run of memory and cloning the database is a single
+//! copy of the arena. Deletion is lazy; the solver compacts the arena at
+//! decision level 0, moving the live clauses together in allocation order.
 
 use crate::lit::Lit;
 use std::fmt;
 
-/// A handle to a clause stored in a [`ClauseDb`].
+/// A handle to a clause stored in a [`ClauseDb`]: the word offset of its
+/// header. Handles stay valid until the next compaction.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClauseRef(u32);
 
@@ -15,9 +19,23 @@ impl ClauseRef {
     /// Sentinel meaning "no clause" (used as a reason for decisions).
     pub const UNDEF: ClauseRef = ClauseRef(u32::MAX);
 
+    /// Largest arena offset a handle may take: the top bit is left free
+    /// so the solver can pack a flag next to a handle in one word.
+    pub(crate) const MAX_OFFSET: u32 = (1 << 31) - 1;
+
     #[inline]
     fn index(self) -> usize {
         self.0 as usize
+    }
+
+    #[inline]
+    pub(crate) fn raw(self) -> u32 {
+        self.0
+    }
+
+    #[inline]
+    pub(crate) fn from_raw(raw: u32) -> ClauseRef {
+        ClauseRef(raw)
     }
 }
 
@@ -31,89 +49,30 @@ impl fmt::Debug for ClauseRef {
     }
 }
 
-/// A single clause: a disjunction of literals plus solver metadata.
-#[derive(Clone, Debug)]
-pub struct Clause {
-    lits: Vec<Lit>,
-    /// Whether the clause was learnt by conflict analysis (eligible for
-    /// deletion) as opposed to a problem clause.
-    learnt: bool,
-    /// Literal-block distance ("glue") at learn time; lower is better.
-    lbd: u32,
-    /// VSIDS-style activity for learnt-clause reduction.
-    activity: f64,
-    /// Marked for lazy deletion.
-    deleted: bool,
+/// Header layout: every clause starts with `HEADER` words, stored as
+/// [`Lit`] codes so the arena stays one safe `Vec<Lit>`.
+const H_FLAGS: usize = 0; // len << 2 | DELETED | LEARNT
+const H_LBD: usize = 1; // literal-block distance; compaction's forwarding slot
+const H_ACT_LO: usize = 2; // activity (f64 bits), low half
+const H_ACT_HI: usize = 3; // activity (f64 bits), high half
+const H_ORD: usize = 4; // learnt ordinal, the unit of [`ClauseDb::mark`]
+const HEADER: usize = 5;
+
+const LEARNT: u32 = 1;
+const DELETED: u32 = 2;
+const LEN_SHIFT: u32 = 2;
+
+#[inline]
+fn word(x: u32) -> Lit {
+    Lit::from_code(x as usize)
 }
 
-impl Clause {
-    fn new(lits: Vec<Lit>, learnt: bool, lbd: u32) -> Self {
-        Clause { lits, learnt, lbd, activity: 0.0, deleted: false }
-    }
-
-    /// The literals of the clause.
-    #[inline]
-    pub fn lits(&self) -> &[Lit] {
-        &self.lits
-    }
-
-    /// Number of literals.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// Whether the clause has no literals (never true for stored clauses).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.lits.is_empty()
-    }
-
-    /// Whether this is a learnt clause.
-    #[inline]
-    pub fn is_learnt(&self) -> bool {
-        self.learnt
-    }
-
-    /// The literal-block distance recorded for this clause.
-    #[inline]
-    pub fn lbd(&self) -> u32 {
-        self.lbd
-    }
-
-    /// Whether the clause has been lazily deleted.
-    #[inline]
-    pub fn is_deleted(&self) -> bool {
-        self.deleted
-    }
-
-    #[inline]
-    pub(crate) fn activity(&self) -> f64 {
-        self.activity
-    }
-
-    #[inline]
-    pub(crate) fn bump_activity(&mut self, inc: f64) {
-        self.activity += inc;
-    }
-
-    #[inline]
-    pub(crate) fn rescale_activity(&mut self, factor: f64) {
-        self.activity *= factor;
-    }
-
-    #[inline]
-    pub(crate) fn mark_deleted(&mut self) {
-        self.deleted = true;
-    }
-
-    #[inline]
-    pub(crate) fn lits_mut(&mut self) -> &mut Vec<Lit> {
-        &mut self.lits
-    }
+#[inline]
+fn raw(l: Lit) -> u32 {
+    l.code() as u32
 }
 
-/// Arena of clauses addressed by [`ClauseRef`].
+/// Flat arena of clauses addressed by [`ClauseRef`].
 ///
 /// ```
 /// use genfv_sat::clause::ClauseDb;
@@ -122,14 +81,24 @@ impl Clause {
 /// let mut db = ClauseDb::new();
 /// let a = Lit::pos(Var::from_index(0));
 /// let b = Lit::pos(Var::from_index(1));
-/// let cref = db.alloc(vec![a, b], false, 0);
-/// assert_eq!(db.clause(cref).lits(), &[a, b]);
+/// let cref = db.alloc([a, b], false, 0);
+/// assert_eq!(db.lits(cref), &[a, b]);
+/// let mark = db.mark();
+/// let learnt = db.alloc([!a, b], true, 2);
+/// assert_eq!(db.learnt_since(mark).collect::<Vec<_>>(), vec![learnt]);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ClauseDb {
-    clauses: Vec<Clause>,
+    arena: Vec<Lit>,
+    /// Learnt clauses in allocation order, deleted ones included until
+    /// the next compaction.
+    learnts: Vec<ClauseRef>,
     live_learnt: usize,
     live_problem: usize,
+    /// Words held by deleted clauses.
+    wasted: usize,
+    /// Learnt clauses ever allocated (the next learnt's ordinal).
+    learnt_allocs: u32,
 }
 
 impl ClauseDb {
@@ -138,43 +107,132 @@ impl ClauseDb {
         ClauseDb::default()
     }
 
-    /// Allocates a clause and returns its handle.
-    pub fn alloc(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> ClauseRef {
-        debug_assert!(lits.len() >= 2, "unit/empty clauses are not stored");
-        let idx = self.clauses.len();
-        self.clauses.push(Clause::new(lits, learnt, lbd));
-        if learnt {
+    /// Allocates a clause of at least two literals and returns its handle.
+    ///
+    /// # Panics
+    /// Panics if the arena outgrows [`ClauseRef`] offsets (2³¹ words) or
+    /// a learnt clause would exceed 2³² learnt allocations.
+    pub fn alloc<I>(&mut self, lits: I, learnt: bool, lbd: u32) -> ClauseRef
+    where
+        I: IntoIterator<Item = Lit>,
+    {
+        let at = self.arena.len();
+        let cref = ClauseRef(
+            u32::try_from(at)
+                .ok()
+                .filter(|&o| o <= ClauseRef::MAX_OFFSET)
+                .expect("clause arena exceeds 2^31 words"),
+        );
+        let ord = if learnt {
+            let ord = self.learnt_allocs;
+            self.learnt_allocs = ord.checked_add(1).expect("more than 2^32 learnt clauses");
+            self.learnts.push(cref);
             self.live_learnt += 1;
+            ord
         } else {
             self.live_problem += 1;
-        }
-        ClauseRef(idx as u32)
+            0
+        };
+        self.arena.extend([word(learnt as u32), word(lbd), word(0), word(0), word(ord)]);
+        self.arena.extend(lits);
+        let len = self.arena.len() - at - HEADER;
+        debug_assert!(len >= 2, "unit/empty clauses are not stored");
+        assert!(len < 1 << (32 - LEN_SHIFT), "clause too long");
+        self.arena[at + H_FLAGS] = word((len as u32) << LEN_SHIFT | learnt as u32);
+        cref
     }
 
-    /// Immutable access to a clause.
     #[inline]
-    pub fn clause(&self, cref: ClauseRef) -> &Clause {
-        &self.clauses[cref.index()]
+    fn flags(&self, cref: ClauseRef) -> u32 {
+        raw(self.arena[cref.index() + H_FLAGS])
     }
 
-    /// Mutable access to a clause.
+    /// The literals of a clause.
     #[inline]
-    pub fn clause_mut(&mut self, cref: ClauseRef) -> &mut Clause {
-        &mut self.clauses[cref.index()]
+    pub fn lits(&self, cref: ClauseRef) -> &[Lit] {
+        let start = cref.index() + HEADER;
+        let len = (self.flags(cref) >> LEN_SHIFT) as usize;
+        &self.arena[start..start + len]
     }
 
-    /// Marks a clause deleted (lazily: the slot stays allocated; watch
-    /// lists are cleaned up by the solver on detach).
-    pub fn delete(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref.index()];
-        if !c.deleted {
-            if c.learnt {
-                self.live_learnt -= 1;
-            } else {
-                self.live_problem -= 1;
+    /// Mutable access to the literals of a clause (watch normalisation
+    /// reorders them in place).
+    #[inline]
+    pub(crate) fn lits_mut(&mut self, cref: ClauseRef) -> &mut [Lit] {
+        let start = cref.index() + HEADER;
+        let len = (self.flags(cref) >> LEN_SHIFT) as usize;
+        &mut self.arena[start..start + len]
+    }
+
+    /// Whether the clause was learnt (eligible for reduction) rather than
+    /// added as a problem clause.
+    #[inline]
+    pub fn is_learnt(&self, cref: ClauseRef) -> bool {
+        self.flags(cref) & LEARNT != 0
+    }
+
+    /// Whether the clause has been deleted.
+    #[inline]
+    pub fn is_deleted(&self, cref: ClauseRef) -> bool {
+        self.flags(cref) & DELETED != 0
+    }
+
+    /// The literal-block distance recorded for the clause; lower is better.
+    #[inline]
+    pub fn lbd(&self, cref: ClauseRef) -> u32 {
+        raw(self.arena[cref.index() + H_LBD])
+    }
+
+    /// The clause's activity for learnt-clause reduction.
+    #[inline]
+    pub(crate) fn activity(&self, cref: ClauseRef) -> f64 {
+        let h = cref.index();
+        let lo = raw(self.arena[h + H_ACT_LO]) as u64;
+        let hi = raw(self.arena[h + H_ACT_HI]) as u64;
+        f64::from_bits(hi << 32 | lo)
+    }
+
+    #[inline]
+    fn set_activity(&mut self, cref: ClauseRef, act: f64) {
+        let bits = act.to_bits();
+        let h = cref.index();
+        self.arena[h + H_ACT_LO] = word(bits as u32);
+        self.arena[h + H_ACT_HI] = word((bits >> 32) as u32);
+    }
+
+    /// Adds `inc` to a clause's activity and returns the new value.
+    #[inline]
+    pub(crate) fn bump_activity(&mut self, cref: ClauseRef, inc: f64) -> f64 {
+        let act = self.activity(cref) + inc;
+        self.set_activity(cref, act);
+        act
+    }
+
+    /// Multiplies the activity of every live learnt clause by `factor`.
+    pub(crate) fn rescale_activities(&mut self, factor: f64) {
+        for i in 0..self.learnts.len() {
+            let cref = self.learnts[i];
+            if !self.is_deleted(cref) {
+                let act = self.activity(cref) * factor;
+                self.set_activity(cref, act);
             }
-            c.mark_deleted();
         }
+    }
+
+    /// Marks a clause deleted. Its words stay in the arena until the next
+    /// compaction; the solver detaches watchers itself.
+    pub fn delete(&mut self, cref: ClauseRef) {
+        let flags = self.flags(cref);
+        if flags & DELETED != 0 {
+            return;
+        }
+        if flags & LEARNT != 0 {
+            self.live_learnt -= 1;
+        } else {
+            self.live_problem -= 1;
+        }
+        self.wasted += HEADER + (flags >> LEN_SHIFT) as usize;
+        self.arena[cref.index() + H_FLAGS] = word(flags | DELETED);
     }
 
     /// Number of live learnt clauses.
@@ -189,36 +247,97 @@ impl ClauseDb {
         self.live_problem
     }
 
-    /// Iterates over handles of all live learnt clauses.
+    /// Iterates over handles of all live learnt clauses, oldest first.
     pub fn learnt_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
-        self.clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.learnt && !c.deleted)
-            .map(|(i, _)| ClauseRef(i as u32))
+        self.learnts.iter().copied().filter(|&c| !self.is_deleted(c))
     }
 
-    /// Total number of slots (live + deleted) in the arena.
+    /// A position in the sequence of learnt clauses, for
+    /// [`ClauseDb::learnt_since`]. Marks survive compaction, and a clone
+    /// answers a mark taken on its parent.
+    pub fn mark(&self) -> usize {
+        self.learnt_allocs as usize
+    }
+
+    /// Iterates over the live learnt clauses allocated after `mark` was
+    /// taken, oldest first.
+    pub fn learnt_since(&self, mark: usize) -> impl Iterator<Item = ClauseRef> + '_ {
+        let ord = |c: ClauseRef| raw(self.arena[c.index() + H_ORD]) as usize;
+        let start = self.learnts.partition_point(|&c| ord(c) < mark);
+        self.learnts[start..].iter().copied().filter(|&c| !self.is_deleted(c))
+    }
+
+    /// Words the arena holds, live and deleted.
     #[inline]
-    pub fn capacity_slots(&self) -> usize {
-        self.clauses.len()
+    pub fn arena_words(&self) -> usize {
+        self.arena.len()
     }
 
-    /// Iterates over live learnt clauses allocated at or after slot
-    /// `mark` (a value previously read from [`ClauseDb::capacity_slots`]).
-    /// The portfolio uses this to harvest exactly the clauses a worker
-    /// learnt during one race.
-    pub fn learnt_since(&self, mark: usize) -> impl Iterator<Item = &Clause> {
-        self.clauses.iter().skip(mark).filter(|c| c.learnt && !c.deleted)
+    /// Words held by live clauses.
+    #[inline]
+    pub fn live_words(&self) -> usize {
+        self.arena.len() - self.wasted
     }
 
-    /// Trims excess capacity from the arena and from every stored clause
-    /// (in-place strengthening and watch migration leave slack behind).
-    pub fn shrink_to_fit(&mut self) {
-        for c in &mut self.clauses {
-            c.lits.shrink_to_fit();
+    /// Whether deleted clauses hold enough of the arena (a fifth) that
+    /// compacting it pays.
+    #[inline]
+    pub(crate) fn wants_compaction(&self) -> bool {
+        self.wasted * 5 > self.arena.len()
+    }
+
+    /// Moves the live clauses into a fresh arena, in allocation order, and
+    /// drops the deleted ones. Every handle into the old arena is stale
+    /// afterwards; map it through the returned [`Relocation`].
+    pub(crate) fn compact(&mut self) -> Relocation {
+        let mut to = Vec::with_capacity(self.live_words());
+        let mut at = 0;
+        while at < self.arena.len() {
+            let flags = raw(self.arena[at + H_FLAGS]);
+            let size = HEADER + (flags >> LEN_SHIFT) as usize;
+            if flags & DELETED == 0 {
+                let moved = to.len();
+                to.extend_from_slice(&self.arena[at..at + size]);
+                // The old header now forwards to the new offset.
+                self.arena[at + H_LBD] = word(moved as u32);
+            }
+            at += size;
         }
-        self.clauses.shrink_to_fit();
+        let reloc = Relocation { old: std::mem::replace(&mut self.arena, to) };
+        self.learnts.retain_mut(|c| match reloc.get(*c) {
+            Some(moved) => {
+                *c = moved;
+                true
+            }
+            None => false,
+        });
+        self.wasted = 0;
+        reloc
+    }
+
+    /// Trims excess capacity from the arena and the learnt index.
+    pub fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
+        self.learnts.shrink_to_fit();
+    }
+}
+
+/// Where [`ClauseDb::compact`] moved each clause: the old arena, whose
+/// live headers hold their new offsets.
+pub(crate) struct Relocation {
+    old: Vec<Lit>,
+}
+
+impl Relocation {
+    /// The new handle of a clause that survived, or `None` if it was
+    /// deleted.
+    pub(crate) fn get(&self, cref: ClauseRef) -> Option<ClauseRef> {
+        let h = cref.index();
+        if raw(self.old[h + H_FLAGS]) & DELETED != 0 {
+            None
+        } else {
+            Some(ClauseRef(raw(self.old[h + H_LBD])))
+        }
     }
 }
 
@@ -348,12 +467,13 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let mut db = ClauseDb::new();
-        let c1 = db.alloc(vec![l(0), l(1)], false, 0);
-        let c2 = db.alloc(vec![l(1), l(2), l(3)], true, 2);
-        assert_eq!(db.clause(c1).lits(), &[l(0), l(1)]);
-        assert_eq!(db.clause(c2).len(), 3);
-        assert!(db.clause(c2).is_learnt());
-        assert_eq!(db.clause(c2).lbd(), 2);
+        let c1 = db.alloc([l(0), l(1)], false, 0);
+        let c2 = db.alloc([l(1), l(2), l(3)], true, 2);
+        assert_eq!(db.lits(c1), &[l(0), l(1)]);
+        assert_eq!(db.lits(c2).len(), 3);
+        assert!(db.is_learnt(c2));
+        assert!(!db.is_learnt(c1));
+        assert_eq!(db.lbd(c2), 2);
         assert_eq!(db.live_problem(), 1);
         assert_eq!(db.live_learnt(), 1);
     }
@@ -361,19 +481,20 @@ mod tests {
     #[test]
     fn delete_is_idempotent_and_updates_counts() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(vec![l(0), l(1)], true, 1);
+        let c = db.alloc([l(0), l(1)], true, 1);
         db.delete(c);
         db.delete(c);
-        assert!(db.clause(c).is_deleted());
+        assert!(db.is_deleted(c));
         assert_eq!(db.live_learnt(), 0);
+        assert_eq!(db.live_words(), 0, "a deleted clause's words count as waste once");
     }
 
     #[test]
     fn learnt_refs_skips_deleted() {
         let mut db = ClauseDb::new();
-        let _p = db.alloc(vec![l(0), l(1)], false, 0);
-        let a = db.alloc(vec![l(0), l(2)], true, 1);
-        let b = db.alloc(vec![l(1), l(2)], true, 1);
+        let _p = db.alloc([l(0), l(1)], false, 0);
+        let a = db.alloc([l(0), l(2)], true, 1);
+        let b = db.alloc([l(1), l(2)], true, 1);
         db.delete(a);
         let live: Vec<_> = db.learnt_refs().collect();
         assert_eq!(live, vec![b]);
@@ -382,9 +503,44 @@ mod tests {
     #[test]
     fn activity_bump_and_rescale() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(vec![l(0), l(1)], true, 1);
-        db.clause_mut(c).bump_activity(1.0);
-        db.clause_mut(c).rescale_activity(0.5);
-        assert!((db.clause(c).activity() - 0.5).abs() < 1e-12);
+        let c = db.alloc([l(0), l(1)], true, 1);
+        assert_eq!(db.bump_activity(c, 1.0), 1.0);
+        db.rescale_activities(0.5);
+        assert!((db.activity(c) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn compaction_keeps_live_clauses_in_order() {
+        let mut db = ClauseDb::new();
+        let p = db.alloc([l(0), l(1), l(2)], false, 0);
+        let dead = db.alloc([l(1), l(3)], true, 3);
+        let kept = db.alloc([l(2), l(4)], true, 2);
+        db.bump_activity(kept, 7.0);
+        db.delete(dead);
+        assert!(db.wants_compaction());
+        let reloc = db.compact();
+        assert_eq!(reloc.get(dead), None);
+        let (p2, kept2) = (reloc.get(p).unwrap(), reloc.get(kept).unwrap());
+        assert!(p2 < kept2);
+        assert_eq!(db.lits(p2), &[l(0), l(1), l(2)]);
+        assert_eq!(db.lits(kept2), &[l(2), l(4)]);
+        assert_eq!((db.lbd(kept2), db.activity(kept2)), (2, 7.0));
+        assert_eq!(db.learnt_refs().collect::<Vec<_>>(), vec![kept2]);
+        assert_eq!(db.arena_words(), db.live_words());
+    }
+
+    #[test]
+    fn marks_survive_compaction() {
+        let mut db = ClauseDb::new();
+        let old = db.alloc([l(0), l(1)], true, 1);
+        let mark = db.mark();
+        let dead = db.alloc([l(1), l(2)], true, 1);
+        let fresh = db.alloc([l(2), l(3)], true, 1);
+        db.delete(old);
+        db.delete(dead);
+        let reloc = db.compact();
+        let fresh = reloc.get(fresh).unwrap();
+        assert_eq!(db.learnt_since(mark).collect::<Vec<_>>(), vec![fresh]);
+        assert_eq!(db.learnt_since(db.mark()).count(), 0);
     }
 }

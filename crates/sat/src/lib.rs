@@ -5,7 +5,14 @@
 //! engine) is built on. It is a conflict-driven clause-learning (CDCL) solver
 //! in the MiniSat lineage:
 //!
-//! * two-watched-literal propagation,
+//! * a flat clause arena ([`clause::ClauseDb`]): each clause is an
+//!   inline header (length, flags, LBD, activity) followed by its
+//!   literals in one `Vec`, compacted at decision level 0 once deleted
+//!   clauses hold a fifth of it, so dead learnt clauses neither stay
+//!   resident nor get copied into clones,
+//! * two-watched-literal propagation over per-literal values, with
+//!   binary clauses watched implicitly (the watcher's blocker is the
+//!   other literal, so deciding them never reads the arena),
 //! * first-UIP conflict analysis with clause minimisation,
 //! * exponential VSIDS activity with on-the-fly rescaling,
 //! * phase saving,
@@ -55,7 +62,7 @@ pub mod solver;
 pub mod tseitin;
 
 pub use assume::ActivationGroup;
-pub use clause::{Clause, ClauseBlock, ClauseRef};
+pub use clause::{ClauseBlock, ClauseRef};
 pub use lit::{Lit, Var};
 pub use pool::{BaseTag, ClausePool, PoolConfig, PoolStats, StepTables};
 pub use solver::{QueryEffort, RestartPolicy, SolveResult, Solver, SolverConfig, SolverStats};

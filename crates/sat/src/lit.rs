@@ -161,27 +161,6 @@ pub enum LBool {
 }
 
 impl LBool {
-    /// Builds an `LBool` from a `bool`.
-    #[inline]
-    pub fn from_bool(b: bool) -> Self {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-
-    /// XORs with a sign: flips `True`/`False` when `flip` holds.
-    #[inline]
-    pub fn xor(self, flip: bool) -> Self {
-        match (self, flip) {
-            (LBool::True, true) => LBool::False,
-            (LBool::False, true) => LBool::True,
-            (v, false) => v,
-            (LBool::Undef, _) => LBool::Undef,
-        }
-    }
-
     /// Converts to `Option<bool>` (`Undef` ⇒ `None`).
     #[inline]
     pub fn to_option(self) -> Option<bool> {
@@ -229,14 +208,6 @@ mod tests {
         assert_eq!(Lit::new(v, true), Lit::neg(v));
         assert!(Lit::new(v, true).is_neg());
         assert!(Lit::new(v, false).is_pos());
-    }
-
-    #[test]
-    fn lbool_xor_table() {
-        assert_eq!(LBool::True.xor(true), LBool::False);
-        assert_eq!(LBool::False.xor(true), LBool::True);
-        assert_eq!(LBool::True.xor(false), LBool::True);
-        assert_eq!(LBool::Undef.xor(true), LBool::Undef);
     }
 
     #[test]

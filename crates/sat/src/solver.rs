@@ -233,11 +233,37 @@ impl std::ops::AddAssign for QueryEffort {
 
 genfv_obs::impl_accumulate!(QueryEffort { add: [conflicts, decisions, propagations] });
 
+/// A watch-list entry: a clause and a blocker literal whose truth lets
+/// propagation skip it. Packed into 8 bytes: the top bit of `cref` (free,
+/// see [`ClauseRef::MAX_OFFSET`]) marks a binary clause, whose blocker is
+/// always its other literal, so propagation decides it from the watcher
+/// alone and touches the arena only to order a reason or conflict.
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
-    cref: ClauseRef,
+    cref: u32,
     blocker: Lit,
 }
+
+impl Watcher {
+    const BINARY: u32 = 1 << 31;
+
+    #[inline]
+    fn new(cref: ClauseRef, blocker: Lit, binary: bool) -> Self {
+        Watcher { cref: cref.raw() | if binary { Self::BINARY } else { 0 }, blocker }
+    }
+
+    #[inline]
+    fn cref(self) -> ClauseRef {
+        ClauseRef::from_raw(self.cref & !Self::BINARY)
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.cref & Self::BINARY != 0
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Watcher>() == 8);
 
 /// Indexed max-heap over variable activities (the VSIDS order).
 #[derive(Clone, Debug, Default)]
@@ -340,8 +366,9 @@ impl VarOrder {
 pub struct Solver {
     config: SolverConfig,
     db: ClauseDb,
-    /// Current assignment per variable.
-    assigns: Vec<LBool>,
+    /// Current value per literal (indexed by [`Lit::code`]), so reading a
+    /// literal's value is one load with no sign fix-up.
+    vals: Vec<LBool>,
     /// Saved polarity per variable (phase saving).
     polarity: Vec<bool>,
     /// VSIDS activity per variable.
@@ -366,9 +393,15 @@ pub struct Solver {
     /// Scratch stacks for clause minimisation.
     analyze_stack: Vec<Lit>,
     analyze_toclear: Vec<Lit>,
+    /// The clause being learnt, reused across conflicts.
+    learnt: Vec<Lit>,
+    /// Per-decision-level stamps for counting a learnt clause's LBD.
+    level_stamp: Vec<u64>,
+    /// The stamp of the current LBD count.
+    lbd_stamp: u64,
     /// False when the clause set is already unsatisfiable at level 0.
     ok: bool,
-    /// Model captured at the last SAT answer.
+    /// Model captured at the last SAT answer, per literal like `vals`.
     model: Vec<LBool>,
     /// Subset of the last assumptions responsible for UNSAT.
     core: Vec<Lit>,
@@ -421,7 +454,7 @@ impl Solver {
         Solver {
             config,
             db: ClauseDb::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             polarity: Vec::new(),
             activity: Vec::new(),
             level: Vec::new(),
@@ -436,6 +469,9 @@ impl Solver {
             seen: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_toclear: Vec::new(),
+            learnt: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_stamp: 0,
             ok: true,
             model: Vec::new(),
             core: Vec::new(),
@@ -454,12 +490,12 @@ impl Solver {
 
     /// Creates a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
+        let v = Var::from_index(self.num_vars());
         let polarity = match self.config.phase_jitter_seed {
-            Some(seed) => jitter_bit(seed, self.assigns.len()),
+            Some(seed) => jitter_bit(seed, v.index()),
             None => false,
         };
-        self.assigns.push(LBool::Undef);
+        self.vals.extend([LBool::Undef, LBool::Undef]);
         self.polarity.push(polarity);
         self.activity.push(0.0);
         self.level.push(0);
@@ -467,7 +503,7 @@ impl Solver {
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.seen.push(false);
-        self.order.grow_to(self.assigns.len());
+        self.order.grow_to(self.num_vars());
         self.order.insert(v, &self.activity);
         v
     }
@@ -475,8 +511,8 @@ impl Solver {
     /// Creates `n` fresh variables at once and returns the index of the
     /// first — the window allocator behind [`Solver::load_template`].
     pub fn new_vars(&mut self, n: usize) -> usize {
-        let base = self.assigns.len();
-        self.assigns.reserve(n);
+        let base = self.num_vars();
+        self.vals.reserve(2 * n);
         self.polarity.reserve(n);
         self.activity.reserve(n);
         self.level.reserve(n);
@@ -491,7 +527,7 @@ impl Solver {
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of live problem clauses.
@@ -571,7 +607,9 @@ impl Solver {
 
     /// Clones the loaded clause database into an independent solver with
     /// a different configuration — the portfolio's per-worker setup step.
-    /// Clone cost is a flat memcpy of the arena and the watch lists; no
+    /// The clause arena is one flat `Vec` (compacted at level 0, so dead
+    /// learnt clauses are not copied) and clones as a single memcpy; the
+    /// watch lists and per-variable arrays copy alongside. No
     /// re-encoding, and the clone's learnt clauses / saved phases start
     /// exactly where the parent's are.
     pub fn clone_with_config(&self, config: SolverConfig) -> Solver {
@@ -585,11 +623,13 @@ impl Solver {
         clone
     }
 
-    /// A position marker into the clause arena. Clauses allocated after
-    /// the mark (e.g. learnt during a portfolio race) can be enumerated
-    /// with [`Solver::export_glue_since`].
+    /// A position marker into the sequence of learnt clauses. Clauses
+    /// learnt after the mark (e.g. during a portfolio race) can be
+    /// enumerated with [`Solver::export_glue_since`], on this solver or
+    /// on a clone taken after the mark, across any number of arena
+    /// compactions.
     pub fn clause_db_mark(&self) -> usize {
-        self.db.capacity_slots()
+        self.db.mark()
     }
 
     /// Copies out every live learnt clause allocated at or after `mark`
@@ -599,9 +639,9 @@ impl Solver {
     pub fn export_glue_since(&self, mark: usize, max_lbd: u32, limit: usize) -> Vec<Vec<Lit>> {
         self.db
             .learnt_since(mark)
-            .filter(|c| c.lbd() <= max_lbd)
+            .filter(|&c| self.db.lbd(c) <= max_lbd)
             .take(limit)
-            .map(|c| c.lits().to_vec())
+            .map(|c| self.db.lits(c).to_vec())
             .collect()
     }
 
@@ -741,8 +781,7 @@ impl Solver {
         let offset = 2 * base;
         let mut stamped: Vec<ClauseRef> = Vec::with_capacity(block.num_clauses());
         for clause in block.clauses() {
-            let mapped: Vec<Lit> =
-                clause.iter().map(|l| Lit::from_code(l.code() + offset)).collect();
+            let mapped = clause.iter().map(|l| Lit::from_code(l.code() + offset));
             let cref = self.db.alloc(mapped, false, 0);
             self.attach(cref);
             stamped.push(cref);
@@ -769,18 +808,20 @@ impl Solver {
             }
             for cref in stamped {
                 let satisfied =
-                    self.db.clause(cref).lits().iter().any(|&l| self.lit_value(l) == LBool::True);
+                    self.db.lits(cref).iter().any(|&l| self.lit_value(l) == LBool::True);
                 if satisfied && !self.is_locked(cref) {
                     self.remove_clause(cref);
                 }
             }
+            self.maybe_compact();
         }
         (base, true)
     }
 
     /// Detaches `cref` from its two watch lists and marks it deleted.
     /// Each detach is a single found-index scan ended by `swap_remove`
-    /// (early exit at the hit) instead of a full-list `retain` walk.
+    /// (early exit at the hit) instead of a full-list `retain` walk. The
+    /// clause's words are reclaimed by the next level-0 compaction.
     pub fn remove_clause(&mut self, cref: ClauseRef) {
         self.detach(cref);
         self.db.delete(cref);
@@ -826,9 +867,9 @@ impl Solver {
                     self.ok = false;
                     break SolveResult::Unsat;
                 }
-                let (learnt, bt_level, lbd) = self.analyze(confl);
+                let (bt_level, lbd) = self.analyze(confl);
                 self.cancel_until(bt_level);
-                self.record_learnt(learnt, lbd);
+                self.record_learnt(lbd);
                 self.decay_activities();
 
                 if let Some(max) = budget {
@@ -851,6 +892,7 @@ impl Solver {
                     self.luby_index += 1;
                     self.restart_budget = self.restart_interval();
                     self.cancel_until(0);
+                    self.maybe_compact();
                     continue;
                 }
                 if self.stats.conflicts >= self.next_reduce
@@ -867,17 +909,18 @@ impl Solver {
                         self.unchecked_enqueue(lit, ClauseRef::UNDEF);
                     }
                     Decide::AssumptionConflict(p) => {
-                        self.analyze_final(p, assumptions);
+                        self.analyze_final(p);
                         break SolveResult::Unsat;
                     }
                     Decide::AllAssigned => {
-                        self.model = self.assigns.clone();
+                        self.model.clone_from(&self.vals);
                         break SolveResult::Sat;
                     }
                 }
             }
         };
         self.cancel_until(0);
+        self.maybe_compact();
         self.stats.last_conflicts = self.stats.conflicts - start_conflicts;
         self.stats.last_decisions = self.stats.decisions - start_decisions;
         self.stats.last_propagations = self.stats.propagations - start_propagations;
@@ -905,12 +948,7 @@ impl Solver {
     /// Returns `None` if the variable was irrelevant (left unassigned) or if
     /// the last solve did not end in [`SolveResult::Sat`].
     pub fn value(&self, lit: Lit) -> Option<bool> {
-        self.model
-            .get(lit.var().index())
-            .copied()
-            .unwrap_or(LBool::Undef)
-            .xor(lit.is_neg())
-            .to_option()
+        self.model.get(lit.code()).copied().unwrap_or(LBool::Undef).to_option()
     }
 
     /// The subset of the last call's assumptions that caused UNSAT
@@ -949,7 +987,7 @@ impl Solver {
 
     /// Whether `v` is currently unassigned at decision level 0.
     pub fn is_unassigned(&self, v: Var) -> bool {
-        self.assigns[v.index()] == LBool::Undef
+        self.vals[Lit::pos(v).code()] == LBool::Undef
     }
 
     /// Failed-literal probe: pushes a fresh decision level, assumes `lit`,
@@ -1016,7 +1054,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()].xor(l.is_neg())
+        self.vals[l.code()]
     }
 
     fn new_decision_level(&mut self) {
@@ -1024,91 +1062,109 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.clause(cref);
-            (c.lits()[0], c.lits()[1])
-        };
-        self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+        let lits = self.db.lits(cref);
+        let (l0, l1, binary) = (lits[0], lits[1], lits.len() == 2);
+        self.watches[(!l0).code()].push(Watcher::new(cref, l1, binary));
+        self.watches[(!l1).code()].push(Watcher::new(cref, l0, binary));
     }
 
     fn unchecked_enqueue(&mut self, p: Lit, from: ClauseRef) {
         debug_assert_eq!(self.lit_value(p), LBool::Undef);
+        self.vals[p.code()] = LBool::True;
+        self.vals[(!p).code()] = LBool::False;
         let v = p.var().index();
-        self.assigns[v] = LBool::from_bool(p.is_pos());
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = from;
         self.trail.push(p);
     }
 
     /// Unit propagation. Returns the conflicting clause, if any.
+    ///
+    /// A clause that becomes a reason or a conflict leaves here with its
+    /// falsified watched literal at position 1, so a reason's implied
+    /// literal sits at position 0: `analyze`, `lit_redundant`,
+    /// `analyze_final` and `is_locked` read reasons that way. Binary
+    /// clauses are reordered only then; otherwise their watchers never
+    /// touch the arena.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            let false_lit = !p;
 
-            let mut i = 0;
-            let mut j = 0;
             // Take the watch list out to sidestep aliasing; put back after.
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
             let mut conflict: Option<ClauseRef> = None;
+            let mut i = 0;
+            let mut j = 0;
 
             'watches: while i < ws.len() {
                 let w = ws[i];
+                i += 1;
                 // Fast path: blocker already true.
-                if self.lit_value(w.blocker) == LBool::True {
+                let blocker_value = self.vals[w.blocker.code()];
+                if blocker_value == LBool::True {
                     ws[j] = w;
-                    i += 1;
                     j += 1;
                     continue;
                 }
-                let cref = w.cref;
-                // Normalise: watched literal being falsified must be lits[1].
-                let false_lit = !p;
-                {
-                    let c = self.db.clause_mut(cref);
-                    let lits = c.lits_mut();
+                let cref = w.cref();
+                if w.is_binary() {
+                    // The blocker is the other literal: unit or conflict.
+                    ws[j] = w;
+                    j += 1;
+                    let lits = self.db.lits_mut(cref);
                     if lits[0] == false_lit {
                         lits.swap(0, 1);
                     }
-                    debug_assert_eq!(lits[1], false_lit);
+                    if blocker_value == LBool::False {
+                        conflict = Some(cref);
+                        break;
+                    }
+                    self.unchecked_enqueue(w.blocker, cref);
+                    continue;
                 }
-                let first = self.db.clause(cref).lits()[0];
-                let w_new = Watcher { cref, blocker: first };
-                if first != w.blocker && self.lit_value(first) == LBool::True {
+                // Normalise: watched literal being falsified must be lits[1].
+                let lits = self.db.lits_mut(cref);
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
+                let first_value = self.vals[first.code()];
+                let w_new = Watcher::new(cref, first, false);
+                if first != w.blocker && first_value == LBool::True {
                     ws[j] = w_new;
-                    i += 1;
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.clause(cref).len();
-                for k in 2..len {
-                    let lk = self.db.clause(cref).lits()[k];
-                    if self.lit_value(lk) != LBool::False {
-                        self.db.clause_mut(cref).lits_mut().swap(1, k);
+                for k in 2..lits.len() {
+                    let lk = lits[k];
+                    if self.vals[lk.code()] != LBool::False {
+                        lits.swap(1, k);
                         self.watches[(!lk).code()].push(w_new);
-                        i += 1;
                         continue 'watches; // watcher migrated; do not keep
                     }
                 }
                 // No new watch: clause is unit or conflicting.
                 ws[j] = w_new;
-                i += 1;
                 j += 1;
-                if self.lit_value(first) == LBool::False {
-                    // Conflict: copy the remaining watchers and bail.
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        i += 1;
-                        j += 1;
-                    }
-                    self.qhead = self.trail.len();
+                if first_value == LBool::False {
                     conflict = Some(cref);
-                } else {
-                    self.unchecked_enqueue(first, cref);
+                    break;
                 }
+                self.unchecked_enqueue(first, cref);
+            }
+            if conflict.is_some() {
+                // Keep the watchers not visited yet.
+                while i < ws.len() {
+                    ws[j] = ws[i];
+                    i += 1;
+                    j += 1;
+                }
+                self.qhead = self.trail.len();
             }
             ws.truncate(j);
             debug_assert!(self.watches[p.code()].is_empty());
@@ -1120,35 +1176,36 @@ impl Solver {
         None
     }
 
-    /// First-UIP conflict analysis.
-    ///
-    /// Returns `(learnt_clause, backtrack_level, lbd)` where
-    /// `learnt_clause[0]` is the asserting literal.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, usize, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::UNDEF];
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt` with the asserting literal first and returns
+    /// `(backtrack_level, lbd)`.
+    fn analyze(&mut self, confl: ClauseRef) -> (usize, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::UNDEF);
         let mut path_count = 0u32;
         let mut p = Lit::UNDEF;
         let mut index = self.trail.len();
         let mut confl = confl;
+        let level_now = self.decision_level();
 
         loop {
             debug_assert_ne!(confl, ClauseRef::UNDEF);
-            if self.db.clause(confl).is_learnt() {
-                let inc = self.cla_inc;
-                self.db.clause_mut(confl).bump_activity(inc);
-                if self.db.clause(confl).activity() > 1e20 {
-                    self.rescale_clause_activities();
-                }
+            if self.db.is_learnt(confl) && self.db.bump_activity(confl, self.cla_inc) > 1e20 {
+                self.rescale_clause_activities();
             }
             let start = if p == Lit::UNDEF { 0 } else { 1 };
-            let clen = self.db.clause(confl).len();
-            for k in start..clen {
-                let q = self.db.clause(confl).lits()[k];
+            for &q in &self.db.lits(confl)[start..] {
                 let v = q.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
-                    self.bump_var_activity(q.var());
+                    bump_var_activity(
+                        &mut self.activity,
+                        &mut self.var_inc,
+                        &mut self.order,
+                        q.var(),
+                    );
                     self.seen[v] = true;
-                    if self.level[v] as usize >= self.decision_level() {
+                    if self.level[v] as usize >= level_now {
                         path_count += 1;
                     } else {
                         learnt.push(q);
@@ -1172,19 +1229,22 @@ impl Solver {
         }
         learnt[0] = !p;
 
-        // Conflict-clause minimisation (recursive, with reason expansion).
+        // Conflict-clause minimisation (recursive, with reason expansion),
+        // compacting the kept literals in place.
         self.analyze_toclear.clear();
         self.analyze_toclear.extend_from_slice(&learnt);
-        let mut kept = vec![learnt[0]];
-        for &l in &learnt[1..] {
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
             if self.reason[l.var().index()] == ClauseRef::UNDEF || !self.lit_redundant(l) {
-                kept.push(l);
+                learnt[kept] = l;
+                kept += 1;
             }
         }
+        learnt.truncate(kept);
         for &l in &self.analyze_toclear {
             self.seen[l.var().index()] = false;
         }
-        let mut learnt = kept;
 
         // Find backtrack level & put a literal of that level in position 1.
         let bt_level = if learnt.len() == 1 {
@@ -1200,13 +1260,23 @@ impl Solver {
             self.level[learnt[1].var().index()] as usize
         };
 
-        // LBD = number of distinct decision levels in the clause.
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        // LBD = number of distinct decision levels in the clause, counted
+        // by stamping each level (all are at most the current one).
+        self.lbd_stamp += 1;
+        if self.level_stamp.len() <= level_now {
+            self.level_stamp.resize(level_now + 1, 0);
+        }
+        let mut lbd = 0;
+        for l in &learnt {
+            let stamp = &mut self.level_stamp[self.level[l.var().index()] as usize];
+            if *stamp != self.lbd_stamp {
+                *stamp = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
 
-        (learnt, bt_level, lbd)
+        self.learnt = learnt;
+        (bt_level, lbd)
     }
 
     /// Is `l` implied by the rest of the current learnt clause (self-subsumed)?
@@ -1217,9 +1287,7 @@ impl Solver {
         while let Some(q) = self.analyze_stack.pop() {
             let reason = self.reason[q.var().index()];
             debug_assert_ne!(reason, ClauseRef::UNDEF);
-            let clen = self.db.clause(reason).len();
-            for k in 1..clen {
-                let p = self.db.clause(reason).lits()[k];
+            for &p in &self.db.lits(reason)[1..] {
                 let v = p.var().index();
                 if !self.seen[v] && self.level[v] > 0 {
                     if self.reason[v] != ClauseRef::UNDEF {
@@ -1241,8 +1309,10 @@ impl Solver {
     }
 
     /// Computes the assumption core when assumption `failed` is already
-    /// false under the current (assumption-only) trail.
-    fn analyze_final(&mut self, failed: Lit, assumptions: &[Lit]) {
+    /// false under the current (assumption-only) trail. Decisions start
+    /// only once every assumption is placed, so each reasonless literal
+    /// above level 0 here is an assumption and joins the core as is.
+    fn analyze_final(&mut self, failed: Lit) {
         self.core.clear();
         self.core.push(failed);
         if self.decision_level() == 0 {
@@ -1258,13 +1328,11 @@ impl Solver {
                 let reason = self.reason[v];
                 if reason == ClauseRef::UNDEF {
                     debug_assert!(self.level[v] > 0);
-                    if assumptions.contains(&x) && x != p {
+                    if x != p {
                         self.core.push(x);
                     }
                 } else {
-                    let clen = self.db.clause(reason).len();
-                    for k in 1..clen {
-                        let q = self.db.clause(reason).lits()[k];
+                    for &q in &self.db.lits(reason)[1..] {
                         if self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
@@ -1276,15 +1344,16 @@ impl Solver {
         self.seen[p.var().index()] = false;
     }
 
-    fn record_learnt(&mut self, learnt: Vec<Lit>, lbd: u32) {
-        if learnt.len() == 1 {
-            self.unchecked_enqueue(learnt[0], ClauseRef::UNDEF);
+    /// Stores the clause [`Solver::analyze`] left in `self.learnt` and
+    /// asserts its first literal.
+    fn record_learnt(&mut self, lbd: u32) {
+        let asserting = self.learnt[0];
+        if self.learnt.len() == 1 {
+            self.unchecked_enqueue(asserting, ClauseRef::UNDEF);
         } else {
-            let asserting = learnt[0];
-            let cref = self.db.alloc(learnt, true, lbd);
+            let cref = self.db.alloc(self.learnt.iter().copied(), true, lbd);
             self.attach(cref);
-            let inc = self.cla_inc;
-            self.db.clause_mut(cref).bump_activity(inc);
+            self.db.bump_activity(cref, self.cla_inc);
             self.unchecked_enqueue(asserting, cref);
         }
     }
@@ -1296,10 +1365,10 @@ impl Solver {
         let bottom = self.trail_lim[level];
         for i in (bottom..self.trail.len()).rev() {
             let l = self.trail[i];
-            let v = l.var().index();
-            self.assigns[v] = LBool::Undef;
+            self.vals[l.code()] = LBool::Undef;
+            self.vals[(!l).code()] = LBool::Undef;
             if self.config.phase_saving {
-                self.polarity[v] = l.is_pos();
+                self.polarity[l.var().index()] = l.is_pos();
             }
             self.order.insert(l.var(), &self.activity);
         }
@@ -1328,23 +1397,12 @@ impl Solver {
         }
         // Regular VSIDS decision.
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.vals[Lit::pos(v).code()] == LBool::Undef {
                 let lit = Lit::new(v, !self.polarity[v.index()]);
                 return Decide::Decision(lit);
             }
         }
         Decide::AllAssigned
-    }
-
-    fn bump_var_activity(&mut self, v: Var) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-        }
-        self.order.bumped(v, &self.activity);
     }
 
     fn decay_activities(&mut self) {
@@ -1353,15 +1411,13 @@ impl Solver {
     }
 
     fn rescale_clause_activities(&mut self) {
-        for cref in self.db.learnt_refs().collect::<Vec<_>>() {
-            self.db.clause_mut(cref).rescale_activity(1e-20);
-        }
+        self.db.rescale_activities(1e-20);
         self.cla_inc *= 1e-20;
     }
 
     /// Is `cref` currently the reason for its first literal's assignment?
     fn is_locked(&self, cref: ClauseRef) -> bool {
-        let l0 = self.db.clause(cref).lits()[0];
+        let l0 = self.db.lits(cref)[0];
         self.reason[l0.var().index()] == cref && self.lit_value(l0) == LBool::True
     }
 
@@ -1373,12 +1429,11 @@ impl Solver {
             + self.config.first_reduce
             + self.reductions * self.config.reduce_inc;
 
-        let mut refs: Vec<ClauseRef> = self.db.learnt_refs().collect();
+        let db = &self.db;
+        let mut refs: Vec<ClauseRef> = db.learnt_refs().collect();
         refs.sort_by(|&a, &b| {
-            let ca = self.db.clause(a);
-            let cb = self.db.clause(b);
-            cb.lbd().cmp(&ca.lbd()).then(
-                ca.activity().partial_cmp(&cb.activity()).unwrap_or(std::cmp::Ordering::Equal),
+            db.lbd(b).cmp(&db.lbd(a)).then(
+                db.activity(a).partial_cmp(&db.activity(b)).unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let target = refs.len() / 2;
@@ -1387,8 +1442,10 @@ impl Solver {
             if deleted >= target {
                 break;
             }
-            let c = self.db.clause(cref);
-            if c.lbd() <= self.config.keep_lbd || c.len() == 2 || self.is_locked(cref) {
+            if self.db.lbd(cref) <= self.config.keep_lbd
+                || self.db.lits(cref).len() == 2
+                || self.is_locked(cref)
+            {
                 continue;
             }
             self.remove_clause(cref);
@@ -1397,11 +1454,34 @@ impl Solver {
         self.stats.deleted_learnts += deleted as u64;
     }
 
+    /// Compacts the clause arena once deleted clauses hold a fifth of it,
+    /// relocating every watcher and every reason on the trail. Runs at
+    /// decision level 0 only, where no conflict analysis holds a handle;
+    /// reasons of unassigned variables are never read, so they may stay
+    /// stale.
+    fn maybe_compact(&mut self) {
+        debug_assert_eq!(self.decision_level(), 0);
+        if !self.db.wants_compaction() {
+            return;
+        }
+        let reloc = self.db.compact();
+        for ws in &mut self.watches {
+            for w in ws.iter_mut() {
+                let moved = reloc.get(w.cref()).expect("watched clauses are live");
+                *w = Watcher::new(moved, w.blocker, w.is_binary());
+            }
+        }
+        for &l in &self.trail {
+            let reason = &mut self.reason[l.var().index()];
+            if *reason != ClauseRef::UNDEF {
+                *reason = reloc.get(*reason).unwrap_or(ClauseRef::UNDEF);
+            }
+        }
+    }
+
     fn detach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.clause(cref);
-            (c.lits()[0], c.lits()[1])
-        };
+        let lits = self.db.lits(cref);
+        let (l0, l1) = (lits[0], lits[1]);
         Self::unwatch(&mut self.watches[(!l0).code()], cref);
         Self::unwatch(&mut self.watches[(!l1).code()], cref);
     }
@@ -1411,7 +1491,7 @@ impl Solver {
     /// previous `retain` walked (and compacted) the entire list twice per
     /// detach. Watcher order is irrelevant to propagation correctness.
     fn unwatch(ws: &mut Vec<Watcher>, cref: ClauseRef) {
-        if let Some(pos) = ws.iter().position(|w| w.cref == cref) {
+        if let Some(pos) = ws.iter().position(|w| w.cref() == cref) {
             ws.swap_remove(pos);
         }
     }
@@ -1433,6 +1513,20 @@ impl Solver {
         self.analyze_toclear.shrink_to_fit();
         self.core.shrink_to_fit();
     }
+}
+
+/// Bumps `v`'s VSIDS activity, rescaling every activity on overflow. Takes
+/// the three fields it touches so conflict analysis can call it while it
+/// reads a clause out of the arena.
+fn bump_var_activity(activity: &mut [f64], var_inc: &mut f64, order: &mut VarOrder, v: Var) {
+    activity[v.index()] += *var_inc;
+    if activity[v.index()] > 1e100 {
+        for a in activity.iter_mut() {
+            *a *= 1e-100;
+        }
+        *var_inc *= 1e-100;
+    }
+    order.bumped(v, activity);
 }
 
 enum Decide {
@@ -1842,7 +1936,8 @@ mod tests {
         }
         // Imported clauses are recorded as glue learnts (LBD = keep_lbd).
         let imported: Vec<_> = b.db.learnt_since(before).collect();
-        assert!(imported.iter().all(|c| c.lbd() <= b.config().keep_lbd));
+        assert_eq!(imported.len(), glue.len());
+        assert!(imported.iter().all(|&c| b.db.lbd(c) <= b.config().keep_lbd));
     }
 
     /// A small template: local vars {0,1,2} with x2 ⇔ x0 ∧ x1.
@@ -1918,14 +2013,41 @@ mod tests {
     fn remove_clause_detaches_from_watch_lists() {
         let mut s = Solver::new();
         let v = lits(&mut s, 2);
-        let cref = s.db.alloc(vec![v[0], v[1]], false, 0);
+        let cref = s.db.alloc([v[0], v[1]], false, 0);
         s.attach(cref);
         assert!(s.solve_with_assumptions(&[!v[0], !v[1]]).is_unsat());
         s.remove_clause(cref);
+        assert!(s.db.is_deleted(cref));
         // With the only clause gone, both negations are satisfiable —
         // and propagation never touches the dead watchers.
         assert!(s.solve_with_assumptions(&[!v[0], !v[1]]).is_sat());
-        assert!(s.db.clause(cref).is_deleted());
+        assert_eq!(s.db.arena_words(), 0, "the dead clause was compacted away");
+    }
+
+    #[test]
+    fn arena_stays_within_a_multiple_of_its_live_words() {
+        // Reduction every few conflicts deletes learnt clauses over and
+        // over; level-0 compaction must hand their words back.
+        let mut s = Solver::with_config(SolverConfig {
+            first_reduce: 20,
+            reduce_inc: 5,
+            ..SolverConfig::default()
+        });
+        pigeonhole(&mut s, 8);
+        for _ in 0..40 {
+            s.set_conflict_budget(250);
+            let result = s.solve();
+            assert!(
+                s.db.arena_words() <= 2 * s.db.live_words(),
+                "arena {} words for {} live",
+                s.db.arena_words(),
+                s.db.live_words()
+            );
+            if result.is_unsat() {
+                break;
+            }
+        }
+        assert!(s.stats().deleted_learnts > 1000, "reduction ran many times");
     }
 
     #[test]

@@ -1,30 +1,48 @@
 //! Property-based differential testing of the CDCL solver against a
-//! brute-force truth-table reference on random small CNFs, plus structured
-//! incremental-solving scenarios.
+//! brute-force exhaustive-search reference on random small CNFs, plus
+//! structured incremental-solving scenarios.
 
-use genfv_sat::{Lit, SolveResult, Solver, Var};
+use genfv_sat::{ClauseBlock, Lit, SolveResult, Solver, SolverConfig, Var};
 use proptest::prelude::*;
 
-/// Brute-force satisfiability over `num_vars <= 16` variables.
+/// Satisfiability by exhaustive search: assignments are tried in variable
+/// order, and a partial assignment is abandoned once it falsifies a clause
+/// all of whose variables it covers. No propagation, no learning: it shares
+/// nothing with the solver under test.
 fn brute_force_sat(num_vars: usize, clauses: &[Vec<Lit>]) -> bool {
-    assert!(num_vars <= 16);
-    'outer: for assignment in 0u32..(1u32 << num_vars) {
-        for clause in clauses {
-            let mut sat = false;
-            for &l in clause {
-                let bit = (assignment >> l.var().index()) & 1 == 1;
-                if bit != l.is_neg() {
-                    sat = true;
-                    break;
-                }
-            }
-            if !sat {
-                continue 'outer;
-            }
+    // Each clause is decided at its highest variable.
+    let mut decided_at: Vec<Vec<&[Lit]>> = vec![Vec::new(); num_vars];
+    for c in clauses {
+        match c.iter().map(|l| l.var().index()).max() {
+            Some(v) => decided_at[v].push(c),
+            None => return false, // the empty clause
         }
-        return true;
     }
-    false
+    fn search(assignment: &mut Vec<bool>, decided_at: &[Vec<&[Lit]>]) -> bool {
+        let v = assignment.len();
+        if v == decided_at.len() {
+            return true;
+        }
+        for value in [false, true] {
+            assignment.push(value);
+            let consistent = decided_at[v]
+                .iter()
+                .all(|c| c.iter().any(|l| assignment[l.var().index()] != l.is_neg()));
+            if consistent && search(assignment, decided_at) {
+                return true;
+            }
+            assignment.pop();
+        }
+        false
+    }
+    search(&mut Vec::with_capacity(num_vars), &decided_at)
+}
+
+/// Whether `clauses` entail `clause`: no model of them falsifies it.
+fn implied(num_vars: usize, clauses: &[Vec<Lit>], clause: &[Lit]) -> bool {
+    let mut with_negation = clauses.to_vec();
+    with_negation.extend(clause.iter().map(|&l| vec![!l]));
+    !brute_force_sat(num_vars, &with_negation)
 }
 
 /// Checks that a model returned by the solver actually satisfies the CNF.
@@ -223,4 +241,144 @@ fn incremental_strengthening_monotone() {
     assert!(s.solve().is_unsat());
     s.add_clause([v[2], v[3]]);
     assert!(s.solve().is_unsat());
+}
+
+/// Pigeons and holes of the compaction scenario's base formula: with 6,
+/// most generated scenarios reach the learnt-database size at which
+/// reduction starts.
+const PIGEONS: usize = 6;
+
+/// One step of a compaction scenario: `kind` picks the operation, `lits`
+/// its operands (variable picks are taken modulo the live variable count).
+type Step = (u8, Vec<(usize, bool)>);
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let lits = proptest::collection::vec((0..64usize, any::<bool>()), 1..=4);
+    proptest::collection::vec((0u8..6, lits), 20..=50)
+}
+
+/// Runs `steps` against a solver that reduces its learnt database every
+/// few conflicts, so reductions and level-0 arena compactions fall between
+/// the steps, and checks every answer against brute force. The base
+/// formula places `PIGEONS` pigeons in as many holes; a query that blocks
+/// a hole is unsatisfiable and costs real conflicts, which is what fills
+/// the learnt database. Other steps add a clause, stamp a template whose
+/// unit makes the solver remove the stamped clauses it satisfies, clone
+/// the solver, or solve under random assumptions (checking model or
+/// core). A mark taken a third of the way in must, at the end, export
+/// exactly the live learnt clauses allocated after it, each implied by the
+/// formula. Returns the learnt clauses deleted.
+fn run_compaction_scenario(steps: &[Step]) -> u64 {
+    let mut s = Solver::with_config(SolverConfig {
+        first_reduce: 20,
+        reduce_inc: 5,
+        ..SolverConfig::default()
+    });
+    s.new_vars(PIGEONS * PIGEONS);
+    let x = |pigeon: usize, hole: usize| Lit::pos(Var::from_index(pigeon * PIGEONS + hole));
+    let mut clauses: Vec<Vec<Lit>> = Vec::new();
+    for p in 0..PIGEONS {
+        clauses.push((0..PIGEONS).map(|h| x(p, h)).collect());
+    }
+    for h in 0..PIGEONS {
+        for p in 0..PIGEONS {
+            for q in p + 1..PIGEONS {
+                clauses.push(vec![!x(p, h), !x(q, h)]);
+            }
+        }
+    }
+    for c in &clauses {
+        s.add_clause(c.iter().copied());
+    }
+    let sorted = |mut c: Vec<Lit>| {
+        c.sort_unstable();
+        c
+    };
+    let export = |s: &Solver, mark: usize| -> Vec<Vec<Lit>> {
+        s.export_glue_since(mark, u32::MAX, usize::MAX).into_iter().map(sorted).collect()
+    };
+    let mut mark: Option<(usize, Vec<Vec<Lit>>)> = None;
+    for (i, (kind, picks)) in steps.iter().enumerate() {
+        if i == steps.len() / 3 {
+            let m = s.clause_db_mark();
+            assert!(export(&s, m).is_empty(), "a fresh mark exports nothing");
+            mark = Some((m, export(&s, 0)));
+        }
+        let n = s.num_vars();
+        let mut lits: Vec<Lit> =
+            picks.iter().map(|&(v, neg)| Lit::new(Var::from_index(v % n), neg)).collect();
+        match kind {
+            0 if lits.len() >= 2 => {
+                s.add_clause(lits.iter().copied());
+                clauses.push(lits);
+            }
+            1 => {
+                // x2 <-> x0 & x1 over a fresh window, plus one unit fact.
+                let local = |i: usize, neg: bool| Lit::new(Var::from_index(i), neg);
+                let mut block = ClauseBlock::new(3);
+                block.push_clause(&[local(2, true), local(0, false)]);
+                block.push_clause(&[local(2, true), local(1, false)]);
+                block.push_clause(&[local(2, false), local(0, true), local(1, true)]);
+                let (v, neg) = picks[0];
+                block.push_unit(local(v % 3, neg));
+                let (base, _) = s.load_template(&block);
+                let shift = |l: &Lit| Lit::from_code(l.code() + 2 * base);
+                clauses.extend(block.clauses().map(|c| c.iter().map(shift).collect()));
+                clauses.extend(block.units().iter().map(|u| vec![shift(u)]));
+            }
+            2 => s = s.clone_with_config(s.config().clone()),
+            _ => {
+                if *kind == 3 {
+                    let hole = picks[0].0 % PIGEONS;
+                    lits.extend((0..PIGEONS).map(|p| !x(p, hole)));
+                }
+                let result = s.solve_with_assumptions(&lits);
+                let mut constrained = clauses.clone();
+                constrained.extend(lits.iter().map(|&a| vec![a]));
+                assert_eq!(result.is_sat(), brute_force_sat(n, &constrained), "step {i}");
+                if result.is_sat() {
+                    assert!(constrained
+                        .iter()
+                        .all(|c| c.iter().any(|&l| s.value(l) == Some(true))));
+                } else {
+                    let core = s.last_core().to_vec();
+                    assert!(core.iter().all(|l| lits.contains(l)), "core outside assumptions");
+                    let mut refuted = clauses.clone();
+                    refuted.extend(core.iter().map(|&a| vec![a]));
+                    assert!(!brute_force_sat(n, &refuted), "core does not refute");
+                }
+            }
+        }
+    }
+    if let Some((m, before)) = mark {
+        let all = export(&s, 0);
+        let since = export(&s, m);
+        assert!(all.ends_with(&since), "post-mark clauses are the newest learnt clauses");
+        // The rest were learnt before the mark: survivors, in order.
+        let mut older = before.iter();
+        for c in &all[..all.len() - since.len()] {
+            assert!(older.any(|b| b == c), "clause {c:?} was not live at the mark");
+        }
+        for c in &since {
+            assert!(implied(s.num_vars(), &clauses, c), "learnt clause {c:?} is not implied");
+        }
+    }
+    s.stats().deleted_learnts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn compaction_keeps_verdicts_cores_and_marks(steps in arb_steps()) {
+        run_compaction_scenario(&steps);
+    }
+}
+
+#[test]
+fn compaction_scenario_reaches_reduction() {
+    // Blocking each hole in turn refutes six pigeonhole instances, enough
+    // conflicts for several reductions; a mark falls after the second.
+    let steps: Vec<Step> = (0..2 * PIGEONS).map(|h| (3, vec![(h, true)])).collect();
+    assert!(run_compaction_scenario(&steps) > 0, "the scenario must reduce the learnt database");
 }

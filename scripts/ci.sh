@@ -17,7 +17,11 @@
 # verdict regression, zero datapath merges, or a busted conflict-budget
 # envelope). Quick-mode JSON goes to
 # target/ so the committed full-run BENCH_*.json files (5-sample medians)
-# are never clobbered by 2-sample gate numbers.
+# are never clobbered by 2-sample gate numbers. The SAT solver's tests also
+# run in release mode (overflow and indexing behave differently there), the
+# benchmark package runs its own tests, and a 5 s deep_cold benchmark smoke
+# exits nonzero on any verdict that contradicts the generator's known
+# answer — an oracle independent of the solver.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +29,9 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
+cargo test --release -p genfv-sat
+cargo test --manifest-path perfbench/Cargo.toml
+python3 perfbench/run.py --workload deep_cold --seed 1 --seconds 5 --trace 0
 GENFV_BENCH_JSON=target/ci-BENCH_incremental.json \
     cargo run --release -p genfv-bench --bin e8_incremental_sessions -- --quick
 GENFV_BENCH_JSON=target/ci-BENCH_portfolio.json \
