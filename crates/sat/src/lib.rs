@@ -14,9 +14,11 @@
 //!   binary clauses watched implicitly (the watcher's blocker is the
 //!   other literal, so deciding them never reads the arena),
 //! * first-UIP conflict analysis with clause minimisation,
-//! * exponential VSIDS activity with on-the-fly rescaling,
-//! * phase saving,
-//! * Luby-sequence restarts,
+//! * exponential VSIDS activity with on-the-fly rescaling and a fast
+//!   default decay (0.85, tuned for many short incremental queries; see
+//!   [`SolverConfig`]),
+//! * phase saving (always on),
+//! * Luby-sequence or geometric restarts,
 //! * glue-(LBD-)based learnt-clause database reduction,
 //! * incremental solving under assumptions with final-conflict
 //!   (unsat-core-over-assumptions) extraction,

@@ -257,9 +257,16 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     proptest::collection::vec((0u8..6, lits), 20..=50)
 }
 
-/// Runs `steps` against a solver that reduces its learnt database every
-/// few conflicts, so reductions and level-0 arena compactions fall between
-/// the steps, and checks every answer against brute force. The base
+/// Variable-activity decays the compaction scenario draws from: the
+/// portfolio's worker ladder, which holds the default (0.85) and
+/// MiniSat's 0.95. Heuristics steer the search only; verdicts and cores
+/// must not depend on them.
+const VAR_DECAYS: [f64; 5] = [0.75, 0.85, 0.92, 0.95, 0.99];
+
+/// Runs `steps` against a solver that decays variable activities by
+/// `var_decay` and reduces its learnt database every few conflicts, so
+/// reductions and level-0 arena compactions fall between the steps, and
+/// checks every answer against brute force. The base
 /// formula places `PIGEONS` pigeons in as many holes; a query that blocks
 /// a hole is unsatisfiable and costs real conflicts, which is what fills
 /// the learnt database. Other steps add a clause, stamp a template whose
@@ -268,8 +275,9 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
 /// core). A mark taken a third of the way in must, at the end, export
 /// exactly the live learnt clauses allocated after it, each implied by the
 /// formula. Returns the learnt clauses deleted.
-fn run_compaction_scenario(steps: &[Step]) -> u64 {
+fn run_compaction_scenario(steps: &[Step], var_decay: f64) -> u64 {
     let mut s = Solver::with_config(SolverConfig {
+        var_decay,
         first_reduce: 20,
         reduce_inc: 5,
         ..SolverConfig::default()
@@ -370,8 +378,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn compaction_keeps_verdicts_cores_and_marks(steps in arb_steps()) {
-        run_compaction_scenario(&steps);
+    fn compaction_keeps_verdicts_cores_and_marks(
+        steps in arb_steps(),
+        decay in (0..VAR_DECAYS.len()).prop_map(|i| VAR_DECAYS[i]),
+    ) {
+        run_compaction_scenario(&steps, decay);
     }
 }
 
@@ -380,5 +391,6 @@ fn compaction_scenario_reaches_reduction() {
     // Blocking each hole in turn refutes six pigeonhole instances, enough
     // conflicts for several reductions; a mark falls after the second.
     let steps: Vec<Step> = (0..2 * PIGEONS).map(|h| (3, vec![(h, true)])).collect();
-    assert!(run_compaction_scenario(&steps) > 0, "the scenario must reduce the learnt database");
+    let deleted = run_compaction_scenario(&steps, SolverConfig::default().var_decay);
+    assert!(deleted > 0, "the scenario must reduce the learnt database");
 }

@@ -19,9 +19,12 @@
 # target/ so the committed full-run BENCH_*.json files (5-sample medians)
 # are never clobbered by 2-sample gate numbers. The SAT solver's tests also
 # run in release mode (overflow and indexing behave differently there), the
-# benchmark package runs its own tests, and a 5 s deep_cold benchmark smoke
-# exits nonzero on any verdict that contradicts the generator's known
-# answer — an oracle independent of the solver.
+# benchmark package runs its own tests, and 5 s smokes of all three
+# benchmark workloads (deep_cold, genai_cold, repeat_warm) exit nonzero on
+# any verdict that contradicts the generator's known answer — an oracle
+# independent of the solver. genai_cold and repeat_warm cover the Flow-2
+# traffic, whose prompts are built from step counterexamples, so a solver
+# heuristic change that alters models is checked end to end there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +35,8 @@ cargo test -q
 cargo test --release -p genfv-sat
 cargo test --manifest-path perfbench/Cargo.toml
 python3 perfbench/run.py --workload deep_cold --seed 1 --seconds 5 --trace 0
+python3 perfbench/run.py --workload genai_cold --seed 1 --seconds 5 --trace 0
+python3 perfbench/run.py --workload repeat_warm --seed 1 --seconds 5 --trace 0
 GENFV_BENCH_JSON=target/ci-BENCH_incremental.json \
     cargo run --release -p genfv-bench --bin e8_incremental_sessions -- --quick
 GENFV_BENCH_JSON=target/ci-BENCH_portfolio.json \
