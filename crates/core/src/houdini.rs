@@ -32,14 +32,20 @@
 //!   the solver at two frames for the bulk of the sweeps and never pays
 //!   deep unrolling for candidates the fixpoint kills anyway.
 //!
-//! Solver-reuse counters for the run are returned in
-//! [`HoudiniResult::session`].
+//! [`houdini_on_session`] runs on a caller's session, so the batch
+//! validator ([`validate_batch_with_stats`]) hands Houdini the session its
+//! individual checks already loaded: every pool member's base case is
+//! then a clean-depth skip. [`houdini()`] is the standalone wrapper that
+//! builds its own session. Houdini's share of the session counters is
+//! returned in [`HoudiniResult::session`].
 
 use crate::design::PreparedDesign;
-use crate::validate::{Candidate, ValidateConfig, ValidationOutcome};
-use genfv_ir::ExprRef;
+use crate::validate::{
+    check_on_session, validate_candidate, Candidate, ValidateConfig, ValidationOutcome,
+};
+use genfv_ir::{Context, ExprRef, TransitionSystem};
 use genfv_mc::{
-    bmc_rebuild, Accumulate, BmcResult, EngineMode, ProofSession, Property, SessionStats, Unroller,
+    bmc_rebuild, BmcResult, EngineMode, ProofSession, Property, SessionStats, Unroller,
 };
 use genfv_sat::SolveResult;
 use genfv_sva::PropertyCompiler;
@@ -52,10 +58,15 @@ pub struct HoudiniResult {
     pub accepted: Vec<usize>,
     /// Number of strengthening iterations performed.
     pub iterations: usize,
-    /// Solver queries issued (assumption-based, on the one session).
+    /// Solver queries Houdini itself issued (assumption-based, on the one
+    /// session) — not the queries a shared session answered before it.
     pub solver_calls: usize,
-    /// Solver-reuse statistics: `session.bitblasts` is 1 for any run with
-    /// candidates, however many iterations the fixpoint takes.
+    /// Houdini's share of the session counters: the difference between
+    /// the session's statistics after and before the run (see
+    /// [`SessionStats::since`]). [`houdini()`] owns its session and
+    /// reports its totals instead, so there `session.bitblasts` is 1 for
+    /// any run with candidates, however many iterations the fixpoint
+    /// takes.
     pub session: SessionStats,
     /// Indices (into the input slice) of the hypotheses whose selectors
     /// appeared in the assumption core of the final fixpoint-establishing
@@ -66,73 +77,101 @@ pub struct HoudiniResult {
     pub carried: Vec<usize>,
 }
 
+/// Compiles every candidate onto one clone of the design (they may share
+/// monitor state, which is read-only over design signals and feeds
+/// nothing back, so one candidate's monitors cannot influence another's
+/// verdict). Compilation must finish before any session exists so
+/// monitor state unrolls with the frames.
+fn compile_onto_clone(
+    design: &PreparedDesign,
+    candidates: &[Candidate],
+) -> (Context, TransitionSystem, Vec<Result<ExprRef, String>>) {
+    let mut ctx = design.ctx.clone();
+    let mut ts = design.ts.clone();
+    let exprs = {
+        let mut pc = PropertyCompiler::new(&mut ctx, &mut ts);
+        candidates
+            .iter()
+            .map(|cand| pc.compile(&cand.assertion).map(|c| c.ok).map_err(|e| e.to_string()))
+            .collect()
+    };
+    (ctx, ts, exprs)
+}
+
 /// Runs Houdini over `candidates` on a clone of the design.
 ///
 /// `proven_lemmas` are assumed throughout. Candidates that fail to compile
-/// or fail the base case are dropped before the fixpoint loop. The
-/// returned indices refer to the input slice.
+/// or fail the base case are dropped. The returned indices refer to the
+/// input slice.
 pub fn houdini(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
     candidates: &[Candidate],
     config: &ValidateConfig,
 ) -> HoudiniResult {
-    let mut result = HoudiniResult::default();
     if candidates.is_empty() {
-        return result;
+        return HoudiniResult::default();
     }
     if config.engine == EngineMode::RebuildPerQuery {
         return houdini_rebuild(design, proven_lemmas, candidates, config);
     }
-
-    // Compile all candidates on one clone (they may share monitor state).
-    // Compilation must finish before the session exists so monitor state
-    // unrolls with the frames.
-    let mut ctx = design.ctx.clone();
-    let mut ts = design.ts.clone();
-    let mut exprs: Vec<Option<ExprRef>> = Vec::with_capacity(candidates.len());
-    {
-        let mut pc = PropertyCompiler::new(&mut ctx, &mut ts);
-        for cand in candidates {
-            exprs.push(pc.compile(&cand.assertion).ok().map(|c| c.ok));
-        }
-    }
+    let (ctx, ts, compiled) = compile_onto_clone(design, candidates);
+    let (indices, exprs): (Vec<usize>, Vec<ExprRef>) =
+        compiled.iter().enumerate().filter_map(|(i, e)| Some((i, *e.as_ref().ok()?))).unzip();
 
     // The one bit-blast of this run.
     let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
     session.add_lemmas(proven_lemmas);
+    let mut result = houdini_on_session(&mut session, &exprs, config);
+    result.accepted.iter_mut().chain(result.carried.iter_mut()).for_each(|i| *i = indices[*i]);
+    result.session = *session.stats();
+    result
+}
+
+/// Runs Houdini over the compiled candidates `exprs` on an existing
+/// session (whose design contains them and whose lemmas are installed).
+///
+/// Base cases the session already discharged — e.g. by the validation
+/// gauntlet's BMC sanity checks — are clean-depth skips. The returned
+/// indices refer to `exprs`; the counters are Houdini's share of the
+/// session's.
+pub fn houdini_on_session(
+    session: &mut ProofSession<'_>,
+    exprs: &[ExprRef],
+    config: &ValidateConfig,
+) -> HoudiniResult {
+    let mut result = HoudiniResult::default();
+    let before = *session.stats();
 
     // Work order: the 2-frame step fixpoint runs *first* over every
-    // compiled candidate, and the (deeper-unrolling) base cases are only
-    // checked for fixpoint survivors; any base drop re-enters the
-    // fixpoint. This converges to the classic base-first answer — the
-    // final set is the greatest jointly-inductive subset of the base-clean
-    // candidates, every intermediate fixpoint contains it, and base
-    // verdicts are per-candidate — while keeping the solver small during
-    // the bulk of the sweeps and skipping bounded-reachability work for
-    // candidates that die in the fixpoint anyway.
-    let mut alive: Vec<usize> = (0..candidates.len()).filter(|&i| exprs[i].is_some()).collect();
+    // candidate, and the (deeper-unrolling) base cases are only checked
+    // for fixpoint survivors; any base drop re-enters the fixpoint. This
+    // converges to the classic base-first answer — the final set is the
+    // greatest jointly-inductive subset of the base-clean candidates,
+    // every intermediate fixpoint contains it, and base verdicts are
+    // per-candidate — while keeping the solver small during the bulk of
+    // the sweeps and skipping bounded-reachability work for candidates
+    // that die in the fixpoint anyway.
+    let mut alive: Vec<usize> = (0..exprs.len()).collect();
 
     // Selector-guarded hypotheses at frame 0, batched obligations at
     // frame 1.
-    let mut selectors: Vec<Option<genfv_sat::Lit>> = vec![None; candidates.len()];
-    let mut obligations: Vec<Option<genfv_sat::Lit>> = vec![None; candidates.len()];
-    for &i in &alive {
-        let e = exprs[i].expect("alive implies compiled");
+    let mut selectors: Vec<Option<genfv_sat::Lit>> = Vec::with_capacity(exprs.len());
+    let mut obligations: Vec<genfv_sat::Lit> = Vec::with_capacity(exprs.len());
+    for &e in exprs {
         let sel = session.new_selector();
         session.guard_fact(sel, 0, e);
-        selectors[i] = Some(sel);
-        obligations[i] = Some(session.literal(1, e));
+        selectors.push(Some(sel));
+        obligations.push(session.literal(1, e));
     }
-    let mut base_checked: Vec<bool> = vec![false; candidates.len()];
+    let mut base_checked: Vec<bool> = vec![false; exprs.len()];
 
     'outer: loop {
         result.iterations += 1;
         if alive.is_empty() {
             break;
         }
-        let batch: Vec<(usize, ExprRef)> =
-            alive.iter().map(|&i| (1, exprs[i].expect("alive"))).collect();
+        let batch: Vec<(usize, ExprRef)> = alive.iter().map(|&i| (1, exprs[i])).collect();
         let witness = session.new_violation_witness(&batch);
         let mut assumptions: Vec<genfv_sat::Lit> =
             alive.iter().map(|&i| selectors[i].expect("alive has selector")).collect();
@@ -156,11 +195,11 @@ pub fn houdini(
                 // Now pay for the deferred base cases; any drop re-enters
                 // the fixpoint.
                 if !base_check_survivors(
-                    &mut session,
+                    session,
                     &mut alive,
                     &mut selectors,
                     &mut base_checked,
-                    &exprs,
+                    exprs,
                     config.bmc_depth,
                 ) {
                     break 'outer;
@@ -172,9 +211,7 @@ pub fn houdini(
                 let model_false: Vec<usize> = alive
                     .iter()
                     .copied()
-                    .filter(|&i| {
-                        session.value(obligations[i].expect("alive has obligation")) == Some(false)
-                    })
+                    .filter(|&i| session.value(obligations[i]) == Some(false))
                     .collect();
                 debug_assert!(!model_false.is_empty());
                 for &i in &model_false {
@@ -194,16 +231,14 @@ pub fn houdini(
                     }
                     let mut asm: Vec<genfv_sat::Lit> =
                         alive.iter().map(|&j| selectors[j].expect("alive has selector")).collect();
-                    asm.push(!obligations[i].expect("alive has obligation"));
+                    asm.push(!obligations[i]);
                     match session.solve_under(false, 1, &asm) {
                         SolveResult::Unsat => {}
                         SolveResult::Sat => {
                             let model_false: Vec<usize> = alive
                                 .iter()
                                 .copied()
-                                .filter(|&j| {
-                                    session.value(obligations[j].expect("alive")) == Some(false)
-                                })
+                                .filter(|&j| session.value(obligations[j]) == Some(false))
                                 .collect();
                             for &j in &model_false {
                                 session.retire_selector(selectors[j].take().expect("alive"));
@@ -220,11 +255,11 @@ pub fn houdini(
                 }
                 if !dropped_any
                     && !base_check_survivors(
-                        &mut session,
+                        session,
                         &mut alive,
                         &mut selectors,
                         &mut base_checked,
-                        &exprs,
+                        exprs,
                         config.bmc_depth,
                     )
                 {
@@ -242,8 +277,8 @@ pub fn houdini(
     // A base-case drop after the last recorded fixpoint can invalidate
     // core members; keep `carried` a subset of the survivors.
     result.carried.retain(|i| result.accepted.contains(i));
-    result.solver_calls = session.stats().solver_calls as usize;
-    result.session = *session.stats();
+    result.session = session.stats().since(&before);
+    result.solver_calls = result.session.solver_calls as usize;
     result
 }
 
@@ -262,17 +297,8 @@ fn houdini_rebuild(
     config: &ValidateConfig,
 ) -> HoudiniResult {
     let mut result = HoudiniResult::default();
-
-    // Compile all candidates on one clone (they may share monitor state).
-    let mut ctx = design.ctx.clone();
-    let mut ts = design.ts.clone();
-    let mut exprs: Vec<Option<ExprRef>> = Vec::with_capacity(candidates.len());
-    {
-        let mut pc = PropertyCompiler::new(&mut ctx, &mut ts);
-        for cand in candidates {
-            exprs.push(pc.compile(&cand.assertion).ok().map(|c| c.ok));
-        }
-    }
+    let (ctx, ts, compiled) = compile_onto_clone(design, candidates);
+    let exprs: Vec<Option<ExprRef>> = compiled.into_iter().map(Result::ok).collect();
 
     // Base case: a full BMC run (fresh unroller) per candidate.
     let mut alive: Vec<usize> = Vec::new();
@@ -368,7 +394,7 @@ fn base_check_survivors(
     alive: &mut Vec<usize>,
     selectors: &mut [Option<genfv_sat::Lit>],
     base_checked: &mut [bool],
-    exprs: &[Option<ExprRef>],
+    exprs: &[ExprRef],
     depth: usize,
 ) -> bool {
     let mut dropped = false;
@@ -378,8 +404,7 @@ fn base_check_survivors(
             continue;
         }
         base_checked[i] = true;
-        let e = exprs[i].expect("alive implies compiled");
-        if session.any_violation(e, depth) {
+        if session.any_violation(exprs[i], depth) {
             session.retire_selector(selectors[i].take().expect("alive has selector"));
             alive.retain(|&j| j != i);
             dropped = true;
@@ -402,13 +427,20 @@ pub fn validate_batch(
     (accepted, outcomes)
 }
 
-/// [`validate_batch`] plus the aggregated solver-reuse statistics of every
-/// session involved (the sharded individual-validation sessions and the
-/// Houdini session).
+/// [`validate_batch`] plus the solver-reuse statistics of the session
+/// that answered it.
 ///
-/// The individual phase runs on [`crate::parallel::validate_parallel_with_stats`]:
-/// one design clone, one bit-blast, and one persistent solver **per worker
-/// shard** instead of per candidate and per check.
+/// The whole batch runs on **one** [`ProofSession`]: every candidate is
+/// compiled onto one design clone, bit-blasted once, and the individual
+/// gauntlet (BMC sanity, then induction, in input order) and the Houdini pass
+/// over the stragglers ([`houdini_on_session`]) share the loaded solvers
+/// — so Houdini's base cases are clean-depth skips. Individual outcomes
+/// (earliest violating cycle, least proving `k`, not-inductive-alone) do
+/// not depend on which candidates share the session, and the Houdini
+/// fixpoint is canonical. [`EngineMode::RebuildPerQuery`] and
+/// `CheckConfig::simple_path` (whose distinct-state constraints quantify
+/// over every register, batch-mates' monitors included) keep one clone
+/// per candidate through [`validate_candidate`].
 pub fn validate_batch_with_stats(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
@@ -416,37 +448,74 @@ pub fn validate_batch_with_stats(
     config: &ValidateConfig,
     use_houdini: bool,
 ) -> (Vec<usize>, Vec<ValidationOutcome>, SessionStats) {
-    let (outcomes, mut stats) =
-        crate::parallel::validate_parallel_with_stats(design, proven_lemmas, candidates, config);
-    let mut accepted = Vec::new();
-    let mut parked: Vec<usize> = Vec::new();
-    for (i, out) in outcomes.iter().enumerate() {
-        if out.is_proven() {
-            accepted.push(i);
-        } else if *out == ValidationOutcome::NotInductiveAlone {
-            parked.push(i);
-        }
+    if candidates.is_empty() {
+        return (Vec::new(), Vec::new(), SessionStats::default());
     }
-    let mut outcomes = outcomes;
+    if config.engine == EngineMode::RebuildPerQuery || config.check.simple_path {
+        let mut outcomes: Vec<ValidationOutcome> = candidates
+            .iter()
+            .map(|c| validate_candidate(design, proven_lemmas, c, config))
+            .collect();
+        let mut stats = SessionStats::default();
+        let accepted = accept_with_houdini(&mut outcomes, use_houdini, |pool| {
+            let pool: Vec<Candidate> = pool.iter().map(|&i| candidates[i].clone()).collect();
+            let hres = houdini(design, proven_lemmas, &pool, config);
+            stats = hres.session;
+            hres.accepted
+        });
+        return (accepted, outcomes, stats);
+    }
+
+    let (ctx, ts, compiled) = compile_onto_clone(design, candidates);
+    let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
+    session.add_lemmas(proven_lemmas);
+    let mut outcomes: Vec<ValidationOutcome> = compiled
+        .iter()
+        .zip(candidates)
+        .map(|(res, cand)| match res {
+            Err(e) => ValidationOutcome::CompileRejected(e.clone()),
+            Ok(ok) => {
+                check_on_session(&mut session, &Property::new(cand.name.clone(), *ok), config)
+            }
+        })
+        .collect();
+    let accepted = accept_with_houdini(&mut outcomes, use_houdini, |pool| {
+        let exprs: Vec<ExprRef> =
+            pool.iter().map(|&i| *compiled[i].as_ref().expect("pool members compiled")).collect();
+        houdini_on_session(&mut session, &exprs, config).accepted
+    });
+    (accepted, outcomes, *session.stats())
+}
+
+/// Collects the individually proven candidates and, when `use_houdini`
+/// and some candidates are parked ([`ValidationOutcome::NotInductiveAlone`]),
+/// runs `houdini` over the pool of proven ∪ parked (by index into
+/// `outcomes`): mutual induction may need the proven ones as hypotheses,
+/// and individually inductive members always survive Houdini, so this
+/// cannot lose accepted candidates. Joint survivors are upgraded to
+/// `ProvenInductive { k: 1 }`. Returns the sorted accepted indices.
+fn accept_with_houdini(
+    outcomes: &mut [ValidationOutcome],
+    use_houdini: bool,
+    houdini: impl FnOnce(&[usize]) -> Vec<usize>,
+) -> Vec<usize> {
+    let mut accepted: Vec<usize> =
+        (0..outcomes.len()).filter(|&i| outcomes[i].is_proven()).collect();
+    let parked: Vec<usize> = (0..outcomes.len())
+        .filter(|&i| outcomes[i] == ValidationOutcome::NotInductiveAlone)
+        .collect();
     if use_houdini && !parked.is_empty() {
-        // Pool the stragglers together with the individually-proven
-        // candidates: mutual induction may need them as hypotheses.
-        // Individually-inductive members always survive Houdini, so this
-        // cannot lose accepted candidates.
-        let pool_indices: Vec<usize> = accepted.iter().chain(parked.iter()).copied().collect();
-        let pool: Vec<Candidate> = pool_indices.iter().map(|&i| candidates[i].clone()).collect();
-        let hres = houdini(design, proven_lemmas, &pool, config);
-        stats.absorb(&hres.session);
-        for &pool_idx in &hres.accepted {
-            let orig = pool_indices[pool_idx];
-            if !accepted.contains(&orig) {
+        let pool: Vec<usize> = accepted.iter().chain(&parked).copied().collect();
+        for pool_idx in houdini(&pool) {
+            let orig = pool[pool_idx];
+            if !outcomes[orig].is_proven() {
                 accepted.push(orig);
                 outcomes[orig] = ValidationOutcome::ProvenInductive { k: 1 };
             }
         }
     }
     accepted.sort_unstable();
-    (accepted, outcomes, stats)
+    accepted
 }
 
 #[cfg(test)]
@@ -542,6 +611,100 @@ endmodule
         assert!(s.selectors_created >= 2, "hypothesis selectors + witnesses");
         assert!(s.clauses_retained > 0, "clause capital carried between queries");
         assert_eq!(res.accepted, vec![0, 1]);
+    }
+
+    const SYNC: &str = r#"
+module sync_counters (input clk, rst, output logic [7:0] count1, count2);
+  always @(posedge clk or posedge rst) begin
+    if (rst) begin
+      count1 <= 8'b0;
+      count2 <= 8'b0;
+    end else begin
+      count1++;
+      count2++;
+    end
+  end
+endmodule
+"#;
+
+    fn sync_design() -> PreparedDesign {
+        PreparedDesign::new("sync_counters", SYNC, "lockstep counters", &[]).unwrap()
+    }
+
+    fn named(text: &str) -> Candidate {
+        Candidate { name: text.to_string(), ..cand(text) }
+    }
+
+    #[test]
+    fn validate_batch_bitblasts_once() {
+        let d = sync_design();
+        let cands = vec![
+            named("count1 <= count2"),    // parked: inductive only jointly
+            named("count2 <= count1"),    // with this one
+            named("count1 != count2"),    // false
+            named("count1 == phantom"),   // compile reject
+            named("&count1 |-> &count2"), // parked: needs the pair
+        ];
+        let (accepted, outcomes, stats) =
+            validate_batch_with_stats(&d, &[], &cands, &Default::default(), true);
+        assert_eq!(accepted, vec![0, 1, 4], "{outcomes:?}");
+        assert_eq!(stats.bitblasts, 1, "individual checks and Houdini share one session");
+        assert!(stats.rebuilds_avoided > 0);
+    }
+
+    #[test]
+    fn batch_matches_per_candidate_validation() {
+        let d = sync_design();
+        let cands = vec![
+            named("count1 == count2"),
+            named("count1 != count2"),
+            named("count1 == phantom"),
+            named("&count1 |-> &count2"),
+            named("count2 == count1"),
+            named("count1 < 8'd5"),
+        ];
+        let config = ValidateConfig::default();
+        let (_, batch) = validate_batch(&d, &[], &cands, &config, false);
+        let alone: Vec<ValidationOutcome> =
+            cands.iter().map(|c| crate::validate_candidate(&d, &[], c, &config)).collect();
+        assert_eq!(batch, alone);
+    }
+
+    #[test]
+    fn batch_empty_and_single_inputs() {
+        let d = sync_design();
+        let config = ValidateConfig::default();
+        let (accepted, outcomes, stats) = validate_batch_with_stats(&d, &[], &[], &config, true);
+        assert!(accepted.is_empty() && outcomes.is_empty());
+        assert_eq!(stats.bitblasts, 0, "no candidates, no session");
+        let (accepted, outcomes) =
+            validate_batch(&d, &[], &[named("count1 == count2")], &config, true);
+        assert_eq!(accepted, vec![0]);
+        assert_eq!(outcomes, vec![ValidationOutcome::ProvenInductive { k: 1 }]);
+    }
+
+    #[test]
+    fn houdini_on_shared_session_reports_its_own_share() {
+        let d = mutually_inductive_design();
+        let cands = vec![cand("a == b"), cand("&a |-> &b")];
+        let (ctx, ts, compiled) = compile_onto_clone(&d, &cands);
+        let exprs: Vec<ExprRef> = compiled.into_iter().map(Result::unwrap).collect();
+        let config = ValidateConfig::default();
+        let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
+        for (i, &e) in exprs.iter().enumerate() {
+            check_on_session(&mut session, &Property::new(cands[i].name.clone(), e), &config);
+        }
+        let before = *session.stats();
+        let res = houdini_on_session(&mut session, &exprs, &config);
+        let after = *session.stats();
+        assert_eq!(res.accepted, vec![0, 1]);
+        assert_eq!(res.session.bitblasts, 0, "the session was loaded before Houdini ran");
+        assert_eq!(res.solver_calls as u64, after.solver_calls - before.solver_calls);
+        assert_eq!(res.session.conflicts, after.conflicts - before.conflicts);
+        assert_eq!(
+            res.solver_calls, res.iterations,
+            "one step sweep per iteration: every base case was a clean-depth skip"
+        );
     }
 
     #[test]

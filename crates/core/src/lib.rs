@@ -22,12 +22,14 @@
 //!
 //! **Incremental proof sessions.** Every stage of the gauntlet runs on
 //! persistent [`genfv_mc::ProofSession`]s rather than engines rebuilt per
-//! query: the parallel validator gives each worker shard one session for
-//! its whole slice of candidates ([`validate_parallel`]), Houdini runs
-//! its entire fixpoint — hypothesis activation, batched obligations,
-//! retraction of falsified candidates, deferred base cases — on one
-//! session and reports the hypotheses in the final proof's assumption
-//! core ([`HoudiniResult::carried`]), and the flows prove targets on
+//! query: each candidate batch is compiled onto one design clone and
+//! validated on one session ([`validate_batch`]) — the individual
+//! BMC-sanity and induction checks first, then Houdini's entire fixpoint
+//! over the stragglers ([`houdini_on_session`]: hypothesis activation,
+//! batched obligations, retraction of falsified candidates, deferred base
+//! cases that the individual checks already discharged), which reports
+//! the hypotheses in the final proof's assumption core
+//! ([`HoudiniResult::carried`]) — and the flows prove targets on
 //! shared sessions wherever the design is stable. The pre-session
 //! architecture survives behind [`genfv_mc::EngineMode::RebuildPerQuery`]
 //! (selectable through [`ValidateConfig::engine`] /
@@ -85,7 +87,6 @@ pub mod design;
 pub mod error;
 pub mod flows;
 pub mod houdini;
-pub mod parallel;
 pub mod report;
 pub mod shard;
 pub mod validate;
@@ -101,8 +102,7 @@ pub use flows::{
 };
 pub use genfv_ir::{OptConfig, OptLevel, OptStats};
 pub use genfv_obs::{Accumulate, Obs, ObsConfig, ObsReport};
-pub use houdini::{houdini, validate_batch, HoudiniResult};
-pub use parallel::validate_parallel;
+pub use houdini::{houdini, houdini_on_session, validate_batch, HoudiniResult};
 pub use report::{render_events, render_report, summarize_targets, Table};
 pub use shard::{CorpusConfig, CorpusMode};
 pub use validate::{

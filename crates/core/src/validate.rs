@@ -156,8 +156,9 @@ pub fn validate_candidate(
 
 /// The validation gauntlet steps 3 and 4 (BMC sanity, then induction) on
 /// an existing session whose design already contains the compiled
-/// property. Shared by [`validate_candidate`] and the sharded parallel
-/// validator.
+/// property. Shared by [`validate_candidate`] and the batch validator
+/// ([`crate::houdini::validate_batch_with_stats`]), which runs a whole
+/// candidate batch through one session.
 pub(crate) fn check_on_session(
     session: &mut ProofSession<'_>,
     prop: &Property,
@@ -170,16 +171,6 @@ pub(crate) fn check_on_session(
     if let Some(at) = session.first_violation(prop.ok, config.bmc_depth) {
         return ValidationOutcome::FalseByBmc { at };
     }
-    induction_on_session(session, prop, config)
-}
-
-/// Gauntlet step 4 alone — the induction attempt with prior lemmas
-/// assumed, for callers that already ran the (batched) BMC sanity sweep.
-pub(crate) fn induction_on_session(
-    session: &mut ProofSession<'_>,
-    prop: &Property,
-    _config: &ValidateConfig,
-) -> ValidationOutcome {
     match session.prove(prop) {
         ProveResult::Proven { k, .. } => ValidationOutcome::ProvenInductive { k },
         ProveResult::Falsified { at, .. } => ValidationOutcome::FalseByBmc { at },
@@ -191,7 +182,7 @@ pub(crate) fn induction_on_session(
 /// The same gauntlet on the rebuild-per-query reference engine (fresh
 /// unrollers and solvers per check). Differential-testing twin of
 /// [`check_on_session`].
-pub(crate) fn check_with_rebuild(
+fn check_with_rebuild(
     ctx: &Context,
     ts: &TransitionSystem,
     prop: &Property,

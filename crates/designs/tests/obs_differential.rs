@@ -15,8 +15,13 @@
 //!   buffer). The strict wall-clock overhead gate lives in the
 //!   `e14_obs` bench, where warmup and repetition make timing
 //!   meaningful.
+//! * **Validation nests under the flow** — a Flow 2 repair loop
+//!   validates its candidates on the flow's own thread, so every
+//!   `prove`/`solve.*` span lies inside `flow.flow2`, never at the trace
+//!   root.
 
-use genfv_core::{run_baseline, FlowConfig};
+use genfv_core::{run_baseline, run_flow2, FlowConfig};
+use genfv_genai::{ModelProfile, SyntheticLlm};
 use genfv_mc::{CheckConfig, UnrollMode};
 use genfv_obs::{Obs, ObsConfig, Phase, TraceEvent};
 
@@ -134,4 +139,46 @@ fn deterministic_events_use_the_logical_clock() {
     let span = events.last().expect("non-empty").ts - events[0].ts;
     assert!(span < 1_000_000, "timestamps look like wall time, not ticks: span {span}");
     assert!(events.iter().any(|e| e.phase == Phase::Begin && e.name.starts_with("solve.")));
+}
+
+#[test]
+fn flow2_validation_spans_nest_under_the_flow() {
+    let mut validated_any = false;
+    for bundle in genfv_designs::lemma_hungry_designs() {
+        let obs = Obs::new(ObsConfig::Deterministic);
+        let report = run_flow2(
+            bundle.prepare().expect("corpus designs prepare"),
+            &mut SyntheticLlm::new(ModelProfile::GptFourTurbo, 42),
+            &FlowConfig::default().with_obs(obs.clone()),
+        );
+        let m = &report.metrics;
+        if m.iterations == 0 || m.candidates_parsed == 0 {
+            continue;
+        }
+        validated_any = true;
+        let events = obs.take_events();
+        assert!(
+            events.iter().all(|e| e.tid == events[0].tid),
+            "validation left the flow's thread on {}",
+            bundle.name
+        );
+        let at = |phase: Phase| {
+            events
+                .iter()
+                .position(|e| e.name == "flow.flow2" && e.phase == phase)
+                .expect("flow.flow2 span recorded")
+        };
+        let (begin, end) = (at(Phase::Begin), at(Phase::End));
+        for (i, e) in events.iter().enumerate() {
+            if e.name == "prove" || e.name.starts_with("solve.") {
+                assert!(
+                    begin < i && i < end,
+                    "`{}` at event {i} lies outside flow.flow2 [{begin}, {end}] on {}",
+                    e.name,
+                    bundle.name
+                );
+            }
+        }
+    }
+    assert!(validated_any, "some corpus design must send Flow 2 through its repair loop");
 }

@@ -10,7 +10,7 @@
 //! flows branch on is pinned here.
 //!
 //! The flow-level test at the bottom runs the complete Flow-2 repair loop
-//! (validation gauntlet, sharded parallel validation, Houdini, target
+//! (validation gauntlet and Houdini on one session per batch, target
 //! proofs) in both engine modes and requires identical verdicts and
 //! identical accepted-lemma sets — the acceptance criterion for the
 //! incremental-session work.
@@ -166,7 +166,7 @@ fn corpus_candidates(bundle: &genfv_designs::DesignBundle) -> Vec<Candidate> {
         .collect()
 }
 
-/// The whole validation gauntlet (sharded parallel validation + Houdini)
+/// The whole validation gauntlet (individual checks + Houdini)
 /// over identical candidate pools: per-candidate outcomes — including the
 /// exact `k` of every `ProvenInductive` and the exact cycle of every
 /// `FalseByBmc` — must be equal in both engine modes.

@@ -335,9 +335,9 @@ pub struct SessionStats {
 }
 
 // Folding another session's counters into this one (used when several
-// sessions serve one logical run, e.g. parallel worker shards or
-// lemma-installation rebuilds in the flows). `last_*` fields only follow a
-// session that actually queried — don't clobber with zeros.
+// sessions serve one logical run, e.g. the flows' lemma-installation
+// rebuilds, or one flow's validation batches). `last_*` fields only
+// follow a session that actually queried — don't clobber with zeros.
 genfv_obs::impl_accumulate!(SessionStats {
     add: [
         bitblasts,
@@ -362,6 +362,44 @@ genfv_obs::impl_accumulate!(SessionStats {
     max: [clauses_retained, max_frame],
     last_if solver_calls: [last_query_conflicts, last_core_size],
 });
+
+impl SessionStats {
+    /// The work done between the snapshot `earlier` and `self` (two
+    /// snapshots of one session, `earlier` first): additive counters are
+    /// differenced; watermarks (`clauses_retained`, `max_frame`) and the
+    /// `last_*` fields keep `self`'s values, the latter only when a query
+    /// ran in between. Lets a phase that shares a session (Houdini after
+    /// the validation gauntlet) report its own share.
+    pub fn since(&self, earlier: &SessionStats) -> SessionStats {
+        let d = |now: u64, then: u64| now.saturating_sub(then);
+        let solver_calls = d(self.solver_calls, earlier.solver_calls);
+        let queried = solver_calls > 0;
+        SessionStats {
+            bitblasts: d(self.bitblasts, earlier.bitblasts),
+            solver_calls,
+            rebuilds_avoided: d(self.rebuilds_avoided, earlier.rebuilds_avoided),
+            clauses_retained: self.clauses_retained,
+            max_frame: self.max_frame,
+            selectors_created: d(self.selectors_created, earlier.selectors_created),
+            selectors_retired: d(self.selectors_retired, earlier.selectors_retired),
+            last_query_conflicts: if queried { self.last_query_conflicts } else { 0 },
+            last_core_size: if queried { self.last_core_size } else { 0 },
+            conflicts: d(self.conflicts, earlier.conflicts),
+            decisions: d(self.decisions, earlier.decisions),
+            propagations: d(self.propagations, earlier.propagations),
+            portfolio_races: d(self.portfolio_races, earlier.portfolio_races),
+            portfolio_glue_shared: d(self.portfolio_glue_shared, earlier.portfolio_glue_shared),
+            clean_seed_hits: d(self.clean_seed_hits, earlier.clean_seed_hits),
+            templates_reused: d(self.templates_reused, earlier.templates_reused),
+            cube_splits: d(self.cube_splits, earlier.cube_splits),
+            cubes_raced: d(self.cubes_raced, earlier.cubes_raced),
+            pool_clauses_imported: d(self.pool_clauses_imported, earlier.pool_clauses_imported),
+            pool_clauses_exported: d(self.pool_clauses_exported, earlier.pool_clauses_exported),
+            pool_hits: d(self.pool_hits, earlier.pool_hits),
+            pool_evictions: d(self.pool_evictions, earlier.pool_evictions),
+        }
+    }
+}
 
 /// The two persistent proof directions of a session.
 #[derive(Clone, Copy, PartialEq, Eq)]

@@ -51,9 +51,8 @@
 //! Workers multiply CPU use for the raced queries only. 3-4 workers
 //! capture most of the variance win (the jitter table cycles through the
 //! highest-leverage knobs first); beyond ~6 the marginal worker mostly
-//! duplicates an existing configuration's behaviour. When the portfolio
-//! runs inside an already-parallel stage (e.g. the sharded candidate
-//! validator), keep `workers × shards` within the machine's core count.
+//! duplicates an existing configuration's behaviour. Keep the workers
+//! within the machine's core count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

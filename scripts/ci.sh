@@ -24,7 +24,10 @@
 # any verdict that contradicts the generator's known answer — an oracle
 # independent of the solver. genai_cold and repeat_warm cover the Flow-2
 # traffic, whose prompts are built from step counterexamples, so a solver
-# heuristic change that alters models is checked end to end there.
+# heuristic change that alters models is checked end to end there. A
+# traced genai_cold smoke (--trace 1) additionally exits nonzero on dropped
+# trace events, on disagreement between the model wrapper and the flow
+# metrics, or on optimizer-stats mismatches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +40,7 @@ cargo test --manifest-path perfbench/Cargo.toml
 python3 perfbench/run.py --workload deep_cold --seed 1 --seconds 5 --trace 0
 python3 perfbench/run.py --workload genai_cold --seed 1 --seconds 5 --trace 0
 python3 perfbench/run.py --workload repeat_warm --seed 1 --seconds 5 --trace 0
+python3 perfbench/run.py --workload genai_cold --seed 1 --seconds 5 --trace 1
 GENFV_BENCH_JSON=target/ci-BENCH_incremental.json \
     cargo run --release -p genfv-bench --bin e8_incremental_sessions -- --quick
 GENFV_BENCH_JSON=target/ci-BENCH_portfolio.json \
