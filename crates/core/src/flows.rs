@@ -291,13 +291,16 @@ fn evaluate_candidates(
 ) -> Vec<usize> {
     let lemma_exprs: Vec<_> = lemmas.iter().map(|l| l.expr).collect();
     let t0 = Instant::now();
-    let (accepted, outcomes, solver_stats) = validate_batch_with_stats(
-        design,
-        &lemma_exprs,
-        candidates,
-        &config.validate,
-        config.use_houdini,
-    );
+    let (accepted, outcomes, solver_stats) = {
+        let _span = config.obs().span("flow.validate");
+        validate_batch_with_stats(
+            design,
+            &lemma_exprs,
+            candidates,
+            &config.validate,
+            config.use_houdini,
+        )
+    };
     metrics.proof_time += t0.elapsed();
     metrics.solver.absorb(&solver_stats);
     for (i, outcome) in outcomes.iter().enumerate() {

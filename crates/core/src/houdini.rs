@@ -5,8 +5,18 @@
 //! Houdini algorithm finds the unique maximal inductive subset of a
 //! candidate conjunction: repeatedly drop every candidate falsified in
 //! some step-case model until the remainder is inductive. Combined with a
-//! base-case (BMC) check per candidate, every survivor is a proven
-//! invariant and may be used as a lemma.
+//! base-case check per candidate, every survivor is a proven invariant
+//! and may be used as a lemma.
+//!
+//! The base case needs **cycle 0 only**. A set whose members all hold at
+//! reset and which is jointly 1-inductive (under the proven lemmas, which
+//! hold in every reachable state) holds in every reachable state, so all
+//! its members are invariants. A candidate violated at any cycle is
+//! therefore in no such set, and the greatest jointly-inductive subset of
+//! the candidates clean at cycle 0 equals that of the candidates clean to
+//! any deeper bound — a deeper BMC base case only costs unrolling. A
+//! cycle-0 query that runs out of budget establishes nothing, so its
+//! candidate is dropped, as an `Unknown` step obligation is.
 //!
 //! ## Incremental architecture
 //!
@@ -23,25 +33,24 @@
 //!   the alive set is inductive (fixpoint, and the assumption core names
 //!   the hypotheses that carried the proof); SAT yields a model whose
 //!   false obligations are exactly the candidates to drop;
-//! * base cases ([`genfv_mc::ProofSession::any_violation`], frame-by-frame with
-//!   early exit over the same session) are **deferred** until the step
-//!   fixpoint stabilises and run only for its survivors; a base drop
-//!   re-enters the fixpoint. The classic base-first formulation and this
-//!   order converge to the same set — the greatest jointly-inductive
-//!   subset of the base-clean candidates — but the deferred order keeps
-//!   the solver at two frames for the bulk of the sweeps and never pays
-//!   deep unrolling for candidates the fixpoint kills anyway.
+//! * the cycle-0 base cases are **deferred** until the step fixpoint
+//!   stabilises and run only for its survivors; a base drop re-enters the
+//!   fixpoint. The classic base-first formulation and this order converge
+//!   to the same set — the greatest jointly-inductive subset of the
+//!   base-clean candidates — but the deferred order never pays a base
+//!   query for a candidate the fixpoint kills anyway.
 //!
 //! [`houdini_on_session`] runs on a caller's session, so the batch
 //! validator ([`validate_batch_with_stats`]) hands Houdini the session its
-//! individual checks already loaded: every pool member's base case is
+//! induction attempts already loaded: every pool member's base case is
 //! then a clean-depth skip. [`houdini()`] is the standalone wrapper that
 //! builds its own session. Houdini's share of the session counters is
 //! returned in [`HoudiniResult::session`].
 
 use crate::design::PreparedDesign;
 use crate::validate::{
-    check_on_session, validate_candidate, Candidate, ValidateConfig, ValidationOutcome,
+    induct_on_session, label_on_session, validate_candidate, Candidate, ValidateConfig,
+    ValidationOutcome,
 };
 use genfv_ir::{Context, ExprRef, TransitionSystem};
 use genfv_mc::{
@@ -101,8 +110,8 @@ fn compile_onto_clone(
 /// Runs Houdini over `candidates` on a clone of the design.
 ///
 /// `proven_lemmas` are assumed throughout. Candidates that fail to compile
-/// or fail the base case are dropped. The returned indices refer to the
-/// input slice.
+/// or whose cycle-0 base case is not established clean are dropped. The
+/// returned indices refer to the input slice.
 pub fn houdini(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
@@ -122,7 +131,7 @@ pub fn houdini(
     // The one bit-blast of this run.
     let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
     session.add_lemmas(proven_lemmas);
-    let mut result = houdini_on_session(&mut session, &exprs, config);
+    let mut result = houdini_on_session(&mut session, &exprs);
     result.accepted.iter_mut().chain(result.carried.iter_mut()).for_each(|i| *i = indices[*i]);
     result.session = *session.stats();
     result
@@ -132,26 +141,21 @@ pub fn houdini(
 /// session (whose design contains them and whose lemmas are installed).
 ///
 /// Base cases the session already discharged — e.g. by the validation
-/// gauntlet's BMC sanity checks — are clean-depth skips. The returned
+/// gauntlet's induction attempts — are clean-depth skips. The returned
 /// indices refer to `exprs`; the counters are Houdini's share of the
 /// session's.
-pub fn houdini_on_session(
-    session: &mut ProofSession<'_>,
-    exprs: &[ExprRef],
-    config: &ValidateConfig,
-) -> HoudiniResult {
+pub fn houdini_on_session(session: &mut ProofSession<'_>, exprs: &[ExprRef]) -> HoudiniResult {
     let mut result = HoudiniResult::default();
     let before = *session.stats();
 
     // Work order: the 2-frame step fixpoint runs *first* over every
-    // candidate, and the (deeper-unrolling) base cases are only checked
-    // for fixpoint survivors; any base drop re-enters the fixpoint. This
-    // converges to the classic base-first answer — the final set is the
-    // greatest jointly-inductive subset of the base-clean candidates,
-    // every intermediate fixpoint contains it, and base verdicts are
-    // per-candidate — while keeping the solver small during the bulk of
-    // the sweeps and skipping bounded-reachability work for candidates
-    // that die in the fixpoint anyway.
+    // candidate, and the cycle-0 base cases are only checked for fixpoint
+    // survivors; any base drop re-enters the fixpoint. This converges to
+    // the classic base-first answer — the final set is the greatest
+    // jointly-inductive subset of the base-clean candidates, every
+    // intermediate fixpoint contains it, and base verdicts are
+    // per-candidate — while skipping base queries for candidates that die
+    // in the fixpoint anyway.
     let mut alive: Vec<usize> = (0..exprs.len()).collect();
 
     // Selector-guarded hypotheses at frame 0, batched obligations at
@@ -200,7 +204,6 @@ pub fn houdini_on_session(
                     &mut selectors,
                     &mut base_checked,
                     exprs,
-                    config.bmc_depth,
                 ) {
                     break 'outer;
                 }
@@ -260,7 +263,6 @@ pub fn houdini_on_session(
                         &mut selectors,
                         &mut base_checked,
                         exprs,
-                        config.bmc_depth,
                     )
                 {
                     // The fixpoint closed through per-candidate queries,
@@ -383,11 +385,11 @@ fn houdini_rebuild(
     result
 }
 
-/// Runs the bounded-reachability base case for every alive candidate that
-/// has not had one yet ([`ProofSession::any_violation`], frame-by-frame
-/// with early exit, all on the session's persistent base solver),
-/// retiring and removing the violated ones. Returns whether anything was
-/// dropped (in which case the step fixpoint must re-run without the
+/// Runs the cycle-0 base case for every alive candidate that has not had
+/// one yet (on the session's persistent base solver), retiring and
+/// removing each candidate whose cycle 0 is not established clean: a
+/// violation, or an `Unknown` (budget) answer. Returns whether anything
+/// was dropped (in which case the step fixpoint must re-run without the
 /// dropped hypotheses).
 fn base_check_survivors(
     session: &mut ProofSession<'_>,
@@ -395,7 +397,6 @@ fn base_check_survivors(
     selectors: &mut [Option<genfv_sat::Lit>],
     base_checked: &mut [bool],
     exprs: &[ExprRef],
-    depth: usize,
 ) -> bool {
     let mut dropped = false;
     let snapshot = alive.clone();
@@ -404,7 +405,7 @@ fn base_check_survivors(
             continue;
         }
         base_checked[i] = true;
-        if session.any_violation(exprs[i], depth) {
+        if session.any_violation(exprs[i], 0) || session.clean_depth(exprs[i]).is_none() {
             session.retire_selector(selectors[i].take().expect("alive has selector"));
             alive.retain(|&j| j != i);
             dropped = true;
@@ -431,16 +432,18 @@ pub fn validate_batch(
 /// that answered it.
 ///
 /// The whole batch runs on **one** [`ProofSession`]: every candidate is
-/// compiled onto one design clone, bit-blasted once, and the individual
-/// gauntlet (BMC sanity, then induction, in input order) and the Houdini pass
-/// over the stragglers ([`houdini_on_session`]) share the loaded solvers
-/// — so Houdini's base cases are clean-depth skips. Individual outcomes
-/// (earliest violating cycle, least proving `k`, not-inductive-alone) do
-/// not depend on which candidates share the session, and the Houdini
-/// fixpoint is canonical. [`EngineMode::RebuildPerQuery`] and
-/// `CheckConfig::simple_path` (whose distinct-state constraints quantify
-/// over every register, batch-mates' monitors included) keep one clone
-/// per candidate through [`validate_candidate`].
+/// compiled onto one design clone and bit-blasted once. Each compiled
+/// candidate first gets its induction attempt (in input order); Houdini
+/// ([`houdini_on_session`]) then runs over the proven and step-failed
+/// candidates, whose cycle-0 base cases are clean-depth skips by then;
+/// and only the candidates neither proves get the BMC labelling ladder
+/// (see [`crate::validate`]). Individual outcomes (earliest violating
+/// cycle, least proving `k`, not-inductive-alone) do not depend on which
+/// candidates share the session, and the Houdini fixpoint is canonical.
+/// [`EngineMode::RebuildPerQuery`] and `CheckConfig::simple_path` (whose
+/// distinct-state constraints quantify over every register, batch-mates'
+/// monitors included) keep one clone per candidate through
+/// [`validate_candidate`].
 pub fn validate_batch_with_stats(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
@@ -458,6 +461,7 @@ pub fn validate_batch_with_stats(
             .collect();
         let mut stats = SessionStats::default();
         let accepted = accept_with_houdini(&mut outcomes, use_houdini, |pool| {
+            let _span = config.check.obs.span("flow.houdini");
             let pool: Vec<Candidate> = pool.iter().map(|&i| candidates[i].clone()).collect();
             let hres = houdini(design, proven_lemmas, &pool, config);
             stats = hres.session;
@@ -474,23 +478,31 @@ pub fn validate_batch_with_stats(
         .zip(candidates)
         .map(|(res, cand)| match res {
             Err(e) => ValidationOutcome::CompileRejected(e.clone()),
-            Ok(ok) => {
-                check_on_session(&mut session, &Property::new(cand.name.clone(), *ok), config)
-            }
+            Ok(ok) => induct_on_session(&mut session, &Property::new(cand.name.clone(), *ok)),
         })
         .collect();
     let accepted = accept_with_houdini(&mut outcomes, use_houdini, |pool| {
+        let _span = config.check.obs.span("flow.houdini");
         let exprs: Vec<ExprRef> =
             pool.iter().map(|&i| *compiled[i].as_ref().expect("pool members compiled")).collect();
-        houdini_on_session(&mut session, &exprs, config).accepted
+        houdini_on_session(&mut session, &exprs).accepted
     });
+    let outcomes = outcomes
+        .into_iter()
+        .zip(&compiled)
+        .map(|(outcome, res)| match res {
+            Ok(ok) => label_on_session(&mut session, *ok, outcome, config.bmc_depth),
+            Err(_) => outcome,
+        })
+        .collect();
     (accepted, outcomes, *session.stats())
 }
 
 /// Collects the individually proven candidates and, when `use_houdini`
-/// and some candidates are parked ([`ValidationOutcome::NotInductiveAlone`]),
-/// runs `houdini` over the pool of proven ∪ parked (by index into
-/// `outcomes`): mutual induction may need the proven ones as hypotheses,
+/// and some candidates are parked ([`ValidationOutcome::NotInductiveAlone`],
+/// provisional or labelled), runs `houdini` over the pool of proven ∪
+/// parked (by index into `outcomes`): mutual induction may need the
+/// proven ones as hypotheses,
 /// and individually inductive members always survive Houdini, so this
 /// cannot lose accepted candidates. Joint survivors are upgraded to
 /// `ProvenInductive { k: 1 }`. Returns the sorted accepted indices.
@@ -521,6 +533,7 @@ fn accept_with_houdini(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use genfv_mc::CheckConfig;
     use genfv_sva::parse_assertion;
 
     fn cand(text: &str) -> Candidate {
@@ -692,10 +705,14 @@ endmodule
         let config = ValidateConfig::default();
         let mut session = ProofSession::new(&ctx, &ts, config.check.clone());
         for (i, &e) in exprs.iter().enumerate() {
-            check_on_session(&mut session, &Property::new(cands[i].name.clone(), e), &config);
+            crate::validate::check_on_session(
+                &mut session,
+                &Property::new(cands[i].name.clone(), e),
+                &config,
+            );
         }
         let before = *session.stats();
-        let res = houdini_on_session(&mut session, &exprs, &config);
+        let res = houdini_on_session(&mut session, &exprs);
         let after = *session.stats();
         assert_eq!(res.accepted, vec![0, 1]);
         assert_eq!(res.session.bitblasts, 0, "the session was loaded before Houdini ran");
@@ -705,6 +722,64 @@ endmodule
             res.solver_calls, res.iterations,
             "one step sweep per iteration: every base case was a clean-depth skip"
         );
+    }
+
+    #[test]
+    fn proven_candidate_runs_no_bmc_ladder() {
+        let d = sync_design();
+        let config = ValidateConfig::default();
+        // Induction proves it at k = 1 from one base and one step query;
+        // no labelling ladder follows.
+        let (accepted, outcomes, stats) =
+            validate_batch_with_stats(&d, &[], &[named("count1 == count2")], &config, true);
+        assert_eq!(accepted, vec![0]);
+        assert_eq!(outcomes, vec![ValidationOutcome::ProvenInductive { k: 1 }]);
+        assert_eq!(stats.solver_calls, 2);
+        // Not inductive alone: base 0..=3 and step 1..=4 of the induction
+        // attempt, one Houdini sweep, then the ladder over cycles 4..=10.
+        let (accepted, outcomes, stats) =
+            validate_batch_with_stats(&d, &[], &[named("&count1 |-> &count2")], &config, true);
+        assert!(accepted.is_empty());
+        assert_eq!(outcomes, vec![ValidationOutcome::NotInductiveAlone]);
+        assert_eq!(stats.solver_calls, 16);
+    }
+
+    #[test]
+    fn deferred_labels_match_the_bmc_first_reference() {
+        // `count1 < 8'd5` fails only at cycle 5, past max_k = 4, so its
+        // induction attempt ends in a step failure and it enters Houdini's
+        // pool before its ladder labels it false.
+        let d = sync_design();
+        let cands =
+            vec![named("count1 <= count2"), named("count2 <= count1"), named("count1 < 8'd5")];
+        let incremental = ValidateConfig::default();
+        let rebuild = ValidateConfig::default().with_engine(EngineMode::RebuildPerQuery);
+        let (acc_i, out_i) = validate_batch(&d, &[], &cands, &incremental, true);
+        let (acc_r, out_r) = validate_batch(&d, &[], &cands, &rebuild, true);
+        assert_eq!(out_i, out_r);
+        assert_eq!(acc_i, acc_r);
+        assert_eq!(acc_i, vec![0, 1]);
+        assert_eq!(out_i[2], ValidationOutcome::FalseByBmc { at: 5 });
+    }
+
+    #[test]
+    fn budget_expired_base_case_is_not_clean() {
+        // `r` has a free initial value, so `r * r != 57` can fail at
+        // cycle 0 (r = 0x15 or one of its odd-square twins) and holds from
+        // cycle 1 on. Under a one-conflict budget the cycle-0 query is
+        // `Unknown`, which must drop the candidate, not accept it.
+        let rtl = "module hold (input clk, input [7:0] d, output logic [7:0] r, \
+                   output logic [7:0] q); always_ff @(posedge clk) begin r <= 8'd0; \
+                   q <= d; end endmodule";
+        let d = PreparedDesign::new("hold", rtl, "free initial value", &[]).unwrap();
+        let cands = vec![cand("r * r != 8'd57")];
+        let plain = ValidateConfig::default();
+        assert!(houdini(&d, &[], &cands, &plain).accepted.is_empty());
+        let budgeted = plain
+            .clone()
+            .with_check(CheckConfig { conflict_budget: Some(1), ..plain.check.clone() });
+        let res = houdini(&d, &[], &cands, &budgeted);
+        assert!(res.accepted.is_empty(), "{res:?}");
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!
 //! **Soundness boundary.** Model output is untrusted text. Candidates are
 //! parsed ([`genfv_sva::parse_assertions`]), compiled (phantom signals
-//! rejected), BMC-sanity-checked (false invariants rejected with a
-//! counterexample), and finally proven by induction — individually or
-//! jointly via [`houdini()`] — before they may strengthen any proof. A
+//! rejected), and proven by induction — individually or jointly via
+//! [`houdini()`] — before they may strengthen any proof. Only a candidate
+//! that neither proves is BMC-checked, to label it false (a reachable
+//! counterexample) or not inductive; a proven candidate is an invariant,
+//! so such a check could only come back clean. A
 //! hallucinated assertion can waste time but can never taint a result,
 //! mechanising the paper's "analyze the output from the LLM before using
 //! it productively" guidance.
@@ -24,12 +26,13 @@
 //! persistent [`genfv_mc::ProofSession`]s rather than engines rebuilt per
 //! query: each candidate batch is compiled onto one design clone and
 //! validated on one session ([`validate_batch`]) — the individual
-//! BMC-sanity and induction checks first, then Houdini's entire fixpoint
-//! over the stragglers ([`houdini_on_session`]: hypothesis activation,
-//! batched obligations, retraction of falsified candidates, deferred base
-//! cases that the individual checks already discharged), which reports
-//! the hypotheses in the final proof's assumption core
-//! ([`HoudiniResult::carried`]) — and the flows prove targets on
+//! induction attempts first, then Houdini's entire fixpoint over the
+//! proven and step-failed candidates ([`houdini_on_session`]: hypothesis
+//! activation, batched obligations, retraction of falsified candidates,
+//! cycle-0 base cases that the induction attempts already discharged),
+//! which reports the hypotheses in the final proof's assumption core
+//! ([`HoudiniResult::carried`]), and last the BMC labelling of whatever
+//! neither proved — and the flows prove targets on
 //! shared sessions wherever the design is stable. The pre-session
 //! architecture survives behind [`genfv_mc::EngineMode::RebuildPerQuery`]
 //! (selectable through [`ValidateConfig::engine`] /

@@ -7,11 +7,19 @@
 //!
 //! 1. **parse** — already done by `genfv_sva::parse_assertions` upstream;
 //! 2. **compile** — binds signals; phantom references die here;
-//! 3. **BMC sanity** — a bounded search for a *reachable* violation;
-//!    candidates that are simply false die here;
-//! 4. **induction** — the candidate must prove (given already-accepted
-//!    lemmas); candidates that are plausibly true but not inductive are
-//!    parked for the Houdini pool rather than rejected.
+//! 3. **induction** — the candidate must prove (given already-accepted
+//!    lemmas). Its base cases run in increasing depth, so a candidate
+//!    false before `max_k` dies here at its earliest violating cycle;
+//! 4. **BMC labelling** — only for candidates that neither induction nor
+//!    (in a batch) Houdini proves: a bounded search for a *reachable*
+//!    violation up to [`ValidateConfig::bmc_depth`] tells a simply false
+//!    candidate from one that is plausibly true but not inductive.
+//!
+//! Running induction first loses nothing: a proven candidate is an
+//! invariant, so every deeper query of a sanity ladder would be UNSAT by
+//! construction. The outcome labels are the ones the BMC-first order
+//! gives (that order is kept by the rebuild-per-query reference,
+//! [`EngineMode::RebuildPerQuery`]), whenever no conflict budget is set.
 //!
 //! Validation works on clones of the design so rejected candidates leave
 //! no residue (monitor registers) in the real transition system.
@@ -29,8 +37,9 @@ use genfv_sva::{Assertion, PropertyCompiler};
 pub enum ValidationOutcome {
     /// The assertion references unknown signals or has type errors.
     CompileRejected(String),
-    /// A reachable counterexample exists within the sanity bound: the
-    /// candidate is false.
+    /// A reachable counterexample exists — found by a base case of the
+    /// induction attempt or within the BMC labelling bound: the candidate
+    /// is false.
     FalseByBmc {
         /// Cycle of the violation.
         at: usize,
@@ -79,7 +88,10 @@ pub struct Lemma {
 /// Validation configuration.
 #[derive(Clone, Debug)]
 pub struct ValidateConfig {
-    /// BMC sanity depth for false-candidate detection.
+    /// Depth of the BMC labelling ladder: how far from reset a candidate
+    /// that induction (and Houdini) did not prove is searched for a
+    /// violation, to label it false rather than not inductive. It bounds
+    /// only that ladder; proofs and Houdini's base case do not use it.
     pub bmc_depth: usize,
     /// Induction settings for candidate proofs.
     pub check: CheckConfig,
@@ -101,7 +113,7 @@ impl Default for ValidateConfig {
 }
 
 impl ValidateConfig {
-    /// This configuration with BMC sanity depth `depth`.
+    /// This configuration with BMC labelling depth `depth`.
     pub fn with_bmc_depth(mut self, depth: usize) -> Self {
         self.bmc_depth = depth;
         self
@@ -123,12 +135,12 @@ impl ValidateConfig {
 /// Validates one candidate against a clone of the design.
 ///
 /// `proven_lemmas` (expressions over the design context) are assumed
-/// during both the BMC sanity check and the induction attempt — sound,
-/// since they are already proven invariants.
+/// during both the induction attempt and the BMC labelling — sound, since
+/// they are already proven invariants.
 ///
-/// The BMC sanity check and the induction attempt share one incremental
-/// [`ProofSession`]: the design is bit-blasted once per candidate (it used to
-/// be three times — BMC, base unroller, step unroller).
+/// Induction and labelling share one incremental [`ProofSession`]: the
+/// design is bit-blasted once per candidate, and the ladder starts past
+/// the base cases induction already discharged.
 pub fn validate_candidate(
     design: &PreparedDesign,
     proven_lemmas: &[ExprRef],
@@ -154,28 +166,65 @@ pub fn validate_candidate(
     check_on_session(&mut session, &prop, config)
 }
 
-/// The validation gauntlet steps 3 and 4 (BMC sanity, then induction) on
-/// an existing session whose design already contains the compiled
-/// property. Shared by [`validate_candidate`] and the batch validator
-/// ([`crate::houdini::validate_batch_with_stats`]), which runs a whole
-/// candidate batch through one session.
+/// The validation gauntlet steps 3 and 4 (induction, then BMC labelling
+/// if induction did not settle the candidate) on an existing session
+/// whose design already contains the compiled property.
 pub(crate) fn check_on_session(
     session: &mut ProofSession<'_>,
     prop: &Property,
     config: &ValidateConfig,
 ) -> ValidationOutcome {
-    // BMC sanity: reachable violation ⇒ the candidate is false. The
-    // trace-free reachability form suffices (validation only reports the
-    // cycle), and its UNSAT answers are cached by the session so the
-    // induction attempt's base cases are already discharged.
-    if let Some(at) = session.first_violation(prop.ok, config.bmc_depth) {
-        return ValidationOutcome::FalseByBmc { at };
-    }
+    let outcome = induct_on_session(session, prop);
+    label_on_session(session, prop.ok, outcome, config.bmc_depth)
+}
+
+/// Gauntlet step 3: the induction attempt. `ProvenInductive` and
+/// `FalseByBmc` (a base case failed; base cases run in increasing depth,
+/// so `at` is the earliest violating cycle) are final. `NotInductiveAlone`
+/// (the step failed) and `Unknown` are provisional until
+/// [`label_on_session`] runs — after Houdini, in a batch, so that no
+/// ladder runs for a candidate Houdini proves.
+pub(crate) fn induct_on_session(
+    session: &mut ProofSession<'_>,
+    prop: &Property,
+) -> ValidationOutcome {
     match session.prove(prop) {
         ProveResult::Proven { k, .. } => ValidationOutcome::ProvenInductive { k },
         ProveResult::Falsified { at, .. } => ValidationOutcome::FalseByBmc { at },
         ProveResult::StepFailure { .. } => ValidationOutcome::NotInductiveAlone,
         ProveResult::Unknown { reason, .. } => ValidationOutcome::Unknown(reason),
+    }
+}
+
+/// Gauntlet step 4: settles a provisional outcome of
+/// [`induct_on_session`] by BMC up to `bmc_depth` (final outcomes pass
+/// through). A reachable violation labels the candidate `FalseByBmc`. A
+/// step-failed candidate is `NotInductiveAlone` only once the whole
+/// ladder is established clean — a budget-expired ladder leaves it
+/// `Unknown`. The trace-free reachability form suffices (only the cycle
+/// is reported), and the ladder starts past the cycles induction's base
+/// cases already proved clean.
+pub(crate) fn label_on_session(
+    session: &mut ProofSession<'_>,
+    ok: ExprRef,
+    outcome: ValidationOutcome,
+    bmc_depth: usize,
+) -> ValidationOutcome {
+    if !matches!(outcome, ValidationOutcome::NotInductiveAlone | ValidationOutcome::Unknown(_)) {
+        return outcome;
+    }
+    if let Some(at) = session.first_violation(ok, bmc_depth) {
+        return ValidationOutcome::FalseByBmc { at };
+    }
+    match (outcome, session.clean_depth(ok)) {
+        (ValidationOutcome::NotInductiveAlone, Some(clean)) if clean >= bmc_depth => {
+            ValidationOutcome::NotInductiveAlone
+        }
+        (ValidationOutcome::NotInductiveAlone, clean) => ValidationOutcome::Unknown(format!(
+            "BMC labelling budget exhausted at cycle {}",
+            clean.map_or(0, |c| c + 1)
+        )),
+        (unknown, _) => unknown,
     }
 }
 

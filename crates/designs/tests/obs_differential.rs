@@ -18,7 +18,8 @@
 //! * **Validation nests under the flow** — a Flow 2 repair loop
 //!   validates its candidates on the flow's own thread, so every
 //!   `prove`/`solve.*` span lies inside `flow.flow2`, never at the trace
-//!   root.
+//!   root; every one that is not part of a target proof lies inside a
+//!   `flow.validate` phase span, and `flow.houdini` nests inside one.
 
 use genfv_core::{run_baseline, run_flow2, FlowConfig};
 use genfv_genai::{ModelProfile, SyntheticLlm};
@@ -144,6 +145,7 @@ fn deterministic_events_use_the_logical_clock() {
 #[test]
 fn flow2_validation_spans_nest_under_the_flow() {
     let mut validated_any = false;
+    let mut houdini_spans = 0;
     for bundle in genfv_designs::lemma_hungry_designs() {
         let obs = Obs::new(ObsConfig::Deterministic);
         let report = run_flow2(
@@ -179,6 +181,44 @@ fn flow2_validation_spans_nest_under_the_flow() {
                 );
             }
         }
+
+        // Phase spans: walk the span stack. A `prove`/`solve.*` event
+        // belongs to a target proof when a `prove` span named after a
+        // target encloses it (or is it); every other one is validation
+        // work and must lie inside `flow.validate`.
+        let targets: Vec<&str> = report.targets.iter().map(|t| t.name.as_str()).collect();
+        let is_target_prove = |e: &TraceEvent| {
+            e.name == "prove" && e.detail.as_deref().is_some_and(|d| targets.contains(&d))
+        };
+        let mut stack: Vec<&TraceEvent> = Vec::new();
+        let mut validated_spans = 0;
+        for e in &events {
+            // An end event carries no detail: classify it by its begin.
+            let opened = if e.phase == Phase::End { stack.pop() } else { None };
+            let inside = |name: &str| stack.iter().any(|s| s.name == name);
+            let in_target_proof =
+                is_target_prove(opened.unwrap_or(e)) || stack.iter().any(|s| is_target_prove(s));
+            if (e.name == "prove" || e.name.starts_with("solve.")) && !in_target_proof {
+                assert!(
+                    inside("flow.validate"),
+                    "validation `{}` ({:?}) lies outside flow.validate on {}",
+                    e.name,
+                    e.detail,
+                    bundle.name
+                );
+            }
+            if e.name == "flow.houdini" {
+                assert!(inside("flow.validate"), "flow.houdini outside flow.validate");
+            }
+            if e.phase == Phase::Begin {
+                validated_spans += usize::from(e.name == "flow.validate");
+                stack.push(e);
+            }
+        }
+        assert!(stack.is_empty(), "unbalanced span stack on {}", bundle.name);
+        assert!(validated_spans > 0, "no flow.validate span on {}", bundle.name);
+        houdini_spans += events.iter().filter(|e| e.name == "flow.houdini").count();
     }
     assert!(validated_any, "some corpus design must send Flow 2 through its repair loop");
+    assert!(houdini_spans > 0, "some corpus design must run Houdini under flow.validate");
 }

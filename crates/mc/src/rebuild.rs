@@ -99,6 +99,9 @@ pub fn bmc_rebuild(
             SolveResult::Unsat => {}
             SolveResult::Unknown => {
                 // Budget exhausted: report what we know (clean so far).
+                // At k = 0 nothing is known, yet this still reads
+                // `Clean { depth: 0 }`: `BmcResult` has no "unknown"
+                // shape, and changing it is left to a later change.
                 stats.duration = start.elapsed();
                 return BmcResult::Clean { depth: k.saturating_sub(1), stats };
             }

@@ -2,7 +2,7 @@
 //!
 //! The paper's Flow 1/Flow 2 loops spend nearly all their time in repeated
 //! SAT checks over the *same* transition relation: every candidate lemma is
-//! BMC-sanity-checked and induction-checked, every Houdini strengthening
+//! induction-checked (and BMC-checked if it does not prove), every Houdini strengthening
 //! iteration re-queries the step case, and every target proof walks the
 //! same frames again. Rebuilding an [`Unroller`] (a full re-bit-blast plus
 //! a brand-new solver that must re-learn everything) for each of those
@@ -539,6 +539,15 @@ impl<'c> ProofSession<'c> {
         &self.stats
     }
 
+    /// The deepest cycle `c` such that `ok` is established violation-free
+    /// at every cycle `0..=c` from reset — by an UNSAT base answer on this
+    /// session or a clean depth carried in through the seed. `None` when
+    /// not even cycle 0 is established, e.g. because its query ran out of
+    /// budget.
+    pub fn clean_depth(&self, ok: ExprRef) -> Option<usize> {
+        self.clean_upto.get(&ok).copied()
+    }
+
     /// The check configuration the session applies to its queries.
     pub fn config(&self) -> &CheckConfig {
         &self.config
@@ -909,6 +918,11 @@ impl<'c> ProofSession<'c> {
                 SolveResult::Unsat => self.record_clean(property.ok, k),
                 SolveResult::Unknown => {
                     // Budget exhausted: report what we know (clean so far).
+                    // At k = 0 nothing is known, yet this still reads
+                    // `Clean { depth: 0 }`: `BmcResult` has no "unknown"
+                    // shape, and changing it is left to a later change.
+                    // Callers that need cycle 0 established ask
+                    // `clean_depth` instead.
                     stats.duration = start.elapsed();
                     return BmcResult::Clean { depth: k.saturating_sub(1), stats };
                 }
@@ -963,7 +977,8 @@ impl<'c> ProofSession<'c> {
     /// violation) so frames unroll only as deep as the answer requires —
     /// and stay unrolled for every later check on this session. `Unknown`
     /// (budget) counts as "no violation found", like
-    /// [`ProofSession::bmc_check`].
+    /// [`ProofSession::bmc_check`]; [`ProofSession::clean_depth`] tells a
+    /// clean bound from an expired budget.
     pub fn first_violation(&mut self, ok: ExprRef, depth: usize) -> Option<usize> {
         let skip = self.clean_upto.get(&ok).copied();
         for k in 0..=depth {
@@ -1005,8 +1020,8 @@ impl<'c> ProofSession<'c> {
         for k in 1..=self.config.max_k {
             // --- base case: no violation in cycles 0..k from reset -------
             // Skipped when an earlier BMC/reachability query on this
-            // session already proved cycle k-1 clean (the validation
-            // gauntlet's sanity check makes this the common case).
+            // session (or a seeded session) already proved cycle k-1
+            // clean.
             let cached_clean =
                 self.clean_upto.get(&property.ok).is_some_and(|&clean| k - 1 <= clean);
             if cached_clean {

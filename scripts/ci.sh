@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The repo's full gate set. Tier-1 (enforced): release build + tests.
 # Formatting and clippy (all targets: lib + tests + benches) are pinned so
-# style drift cannot accumulate, and the differential benches run in quick
-# mode as end-to-end checks (each exits nonzero on any verdict
-# divergence): e8 races incremental vs rebuild sessions, e9 races
+# style drift cannot accumulate. The paper's worked example (e1, the
+# Fig. 1/2/3 design through both flows) runs as an end-to-end regression
+# gate and exits nonzero unless every expected verdict holds. The
+# differential benches run in quick mode as end-to-end checks (each exits
+# nonzero on any verdict divergence): e8 races incremental vs rebuild sessions, e9 races
 # single-solver vs portfolio sessions, e10 races template-stamped vs
 # DAG-walk frame encodings, e11 races a warm (session-cached) vs cold
 # verification service on repeat traffic, e12 races OptLevel::Full vs
@@ -41,6 +43,7 @@ python3 perfbench/run.py --workload deep_cold --seed 1 --seconds 5 --trace 0
 python3 perfbench/run.py --workload genai_cold --seed 1 --seconds 5 --trace 0
 python3 perfbench/run.py --workload repeat_warm --seed 1 --seconds 5 --trace 0
 python3 perfbench/run.py --workload genai_cold --seed 1 --seconds 5 --trace 1
+cargo run --release -p genfv-bench --bin e1_paper_example
 GENFV_BENCH_JSON=target/ci-BENCH_incremental.json \
     cargo run --release -p genfv-bench --bin e8_incremental_sessions -- --quick
 GENFV_BENCH_JSON=target/ci-BENCH_portfolio.json \
